@@ -345,6 +345,82 @@ let b12b_rows () =
       Some ((Gc.minor_words () -. w0) /. n) );
   ]
 
+(* B1w/B14w: the bare forwards of B1 (tree engine) and B14 (staged)
+   with their allocation read from the Gc counters — bechamel's
+   stabilized OLS reports 0.00 words for both, yet every forward
+   allocates (trace records, the emission, the deparsed bits). The words
+   per forward are the same in every round; the time is the best of 40
+   rounds of 1 000 forwards. *)
+let forward_words_rows () =
+  let row name engine =
+    let d = make_device ~engine () in
+    let forward () = ignore (Device.inject d ~source:(Device.External 0) routed_probe) in
+    let n = 1_000 in
+    for _ = 1 to n do
+      forward ()
+    done;
+    let best = ref infinity and words = ref 0.0 in
+    for _ = 1 to 40 do
+      let w0 = Gc.minor_words () in
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to n do
+        forward ()
+      done;
+      best := Float.min !best (Unix.gettimeofday () -. t0);
+      words := (Gc.minor_words () -. w0) /. float_of_int n
+    done;
+    (name, Some (!best *. 1e9 /. float_of_int n), Some !words)
+  in
+  [
+    row "netdebug/B1w device: forward one packet, minor words (Gc-counted)" `Tree;
+    row "netdebug/B14w device: forward one packet, staged engine, minor words (Gc-counted)"
+      `Staged;
+  ]
+
+(* B18: one busy-window sample of the snapshot streamer — the full
+   registry of a basic_router deployment after a 200-packet soak window,
+   so every histogram has new samples to diff. Each sample starts on an
+   empty minor heap and cannot fill it, so the major-heap words it
+   reports (Gc counters, promotion excluded) were allocated there
+   directly: the window diff and the JSON line must put none there.
+   Returns the row (best-of-40 time, minor words) and the worst sample's
+   major-heap words. *)
+let b18_name = "netdebug/B18 sampler: one busy-window sample (Gc-counted)"
+
+let b18_rows () =
+  let h = Netdebug.Harness.deploy Programs.basic_router in
+  let device = h.Netdebug.Harness.device in
+  let sampler =
+    Obs.Sampler.create ~sink:ignore (Device.metrics device) ~start_ns:(Device.now_ns device)
+  in
+  let sample () = Obs.Sampler.sample sampler ~now_ns:(Device.now_ns device) in
+  let soak_window seed =
+    ignore
+      (Obs.Soak.run
+         ~cfg:{ Obs.Soak.default_cfg with Obs.Soak.sk_budget = 200; sk_seed = seed }
+         h)
+  in
+  soak_window 0;
+  ignore (sample ());
+  let best = ref infinity and minor = ref 0.0 and major = ref 0.0 in
+  for seed = 1 to 40 do
+    soak_window seed;
+    Gc.minor ();
+    let _, promoted0, major0 = Gc.counters () in
+    let w0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    ignore (sample ());
+    let t = Unix.gettimeofday () -. t0 in
+    let w1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
+    best := Float.min !best t;
+    minor := Float.max !minor (w1 -. w0);
+    major := Float.max !major (major1 -. major0 -. (promoted1 -. promoted0))
+  done;
+  Format.printf "B18 busy-window sample: %.0f ns, %.0f minor words, %.0f major-heap words@."
+    (!best *. 1e9) !minor !major;
+  ([ (b18_name, Some (!best *. 1e9), Some !minor) ], !major)
+
 (* B13: wall-clock of one guided fuzz campaign. Not a bechamel test: a
    campaign is a multi-millisecond operation and the interesting numbers
    are wall-clock scaling and throughput, so it is timed directly with
@@ -591,6 +667,21 @@ let absolute_gates =
       15_000.0,
       Some 1_000.0,
       "B12b batched oracle exec" );
+    (* Gc-counted bare forwards: unboxed counter and histogram cells put
+       them at ~1 794 (tree) and ~220 (staged) words, 35 below the boxed
+       cells; the ceilings trip on a revert *)
+    ( "netdebug/B1w device: forward one packet, minor words (Gc-counted)",
+      40_000.0,
+      Some 1_810.0,
+      "B1w tree forward allocation" );
+    ( "netdebug/B14w device: forward one packet, staged engine, minor words (Gc-counted)",
+      10_000.0,
+      Some 240.0,
+      "B14w staged forward allocation" );
+    (* a busy window's sample: ~34 µs and ~6.3k minor words with
+       span-stored histograms and a reused line buffer, against ~117 µs
+       and ~8.3k words (plus ~14.6k major-heap words) with dense bins *)
+    (b18_name, 80_000.0, Some 7_500.0, "B18 busy-window sample");
   ]
 
 (* Evaluate every gate pair; returns false on any violation. [quiet]
@@ -766,9 +857,21 @@ let opt_min a b =
   | (Some _ as s), None | None, (Some _ as s) -> s
   | None, None -> None
 
+(* B18's heap gate: a sample must allocate nothing directly in the major
+   heap — dense 1 024-bin copies put ~14.6k words a window there *)
+let heap_gate major =
+  Format.printf "heap gate: B18 major-heap words = %.0f (limit 0)@." major;
+  if major > 0.0 then
+    Format.eprintf "FAIL: B18 busy-window sample allocates %.0f words in the major heap@."
+      major;
+  major = 0.0
+
 let run ?json ?(check_overhead = false) () =
   Format.printf "@.==== Microbenchmarks (Bechamel) ====@.@.";
-  let bench_rows = measure_once () @ b6a_rows () @ b12b_rows () in
+  let b18, b18_major = b18_rows () in
+  let bench_rows =
+    measure_once () @ b6a_rows () @ b12b_rows () @ forward_words_rows () @ b18
+  in
   let bench_rows =
     if check_overhead && not (check_overhead_gate ~quiet:true bench_rows) then begin
       Format.printf
@@ -792,4 +895,7 @@ let run ?json ?(check_overhead = false) () =
     rows;
   Format.printf "%s@." (Stats.Texttable.render table);
   (match json with None -> () | Some file -> write_json file rows);
-  if check_overhead && not (check_overhead_gate ~scaling:true rows) then exit 1
+  if check_overhead then begin
+    let gates_ok = check_overhead_gate ~scaling:true rows in
+    if not (heap_gate b18_major && gates_ok) then exit 1
+  end

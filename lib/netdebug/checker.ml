@@ -117,6 +117,8 @@ let create ?(capture_limit = 64) ~program device =
 let configure t rules =
   t.rules <- List.map (fun rule -> { rule; matched = 0; passed = 0; failed = 0 }) rules
 
+let rules t = List.map (fun rs -> rs.rule) t.rules
+
 let summary t =
   {
     Wire.cs_total_seen = t.total_seen;

@@ -10,7 +10,14 @@
     program's parser (never dropping — its parse errors are themselves
     observable through [standard_metadata.parser_error]) and exposes the
     observed output port as [standard_metadata.egress_spec]. Failing
-    packets are captured in a bounded ring for the host tool. *)
+    packets are captured in a bounded ring for the host tool.
+
+    Rules are evaluated only while some are armed: each emission is then
+    re-parsed and judged against every armed rule, moving the per-rule
+    tallies and the [checker/pass] / [checker/fail] registry counters.
+    With no rule armed — background traffic outside a validation batch,
+    fabric hops — the tap only counts the emission ([checker/seen]) and
+    records its latency and rate. *)
 
 type t
 
@@ -19,6 +26,11 @@ val create : ?capture_limit:int -> program:P4ir.Ast.program -> Target.Device.t -
 
 val configure : t -> Wire.rule list -> unit
 (** Replace the rule set and reset statistics and captures. *)
+
+val rules : t -> Wire.rule list
+(** The armed rule set, in evaluation order. [configure t (rules t)]
+    re-arms the same rules with fresh tallies — how a batch that arms
+    its own rules hands the caller's set back. *)
 
 val summary : t -> Wire.checker_summary
 (** Counters (seen/passed/failed per rule) plus the capture ring of

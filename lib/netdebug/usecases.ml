@@ -120,29 +120,36 @@ module Functional = struct
      and one quiesce per batch instead of one per vector (DESIGN.md §15).
      [base] offsets the reported indices; [reset_registers] zeroes the
      device's register file before each vector (the sharded sweep's
-     independence contract). *)
+     independence contract). A vector's rules judge that vector only: the
+     caller's rule set is re-armed on the way out, normally or not, so
+     traffic after the batch is not judged against the last vector's
+     expectation (as [Oracle.with_batch] re-arms its mirror rule). *)
   let check_batch ?regs ?(reset_registers = false) ?(base = 0) oracle oracle_rt
       (hw : Harness.t) packets =
     let gen = Agent.generator hw.Harness.agent in
     let chk = Agent.checker hw.Harness.agent in
     let dev = hw.Harness.device in
-    let out =
-      Array.mapi
-        (fun k packet ->
-          if reset_registers then P4ir.Regstate.reset (Device.registers dev);
-          let spec =
-            (Interp.process ?regs oracle.Programs.program oracle_rt
-               ~ingress_port:Harness.generator_port packet)
-              .Interp.result
-          in
-          Checker.configure chk (rules_for oracle spec);
-          Checker.clear chk;
-          ignore (Generator.send_raw gen packet);
-          verdict_of spec (base + k) packet (Checker.summary chk))
-        packets
-    in
-    Device.quiesce dev;
-    out
+    let armed = Checker.rules chk in
+    Fun.protect
+      ~finally:(fun () -> Checker.configure chk armed)
+      (fun () ->
+        let out =
+          Array.mapi
+            (fun k packet ->
+              if reset_registers then P4ir.Regstate.reset (Device.registers dev);
+              let spec =
+                (Interp.process ?regs oracle.Programs.program oracle_rt
+                   ~ingress_port:Harness.generator_port packet)
+                  .Interp.result
+              in
+              Checker.configure chk (rules_for oracle spec);
+              Checker.clear chk;
+              ignore (Generator.send_raw gen packet);
+              verdict_of spec (base + k) packet (Checker.summary chk))
+            packets
+        in
+        Device.quiesce dev;
+        out)
 
   let oracle_runtime oracle =
     let rt = Runtime.create () in

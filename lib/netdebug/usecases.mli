@@ -88,7 +88,14 @@ module Functional : sig
       [reset_registers] (default false) zeroes the device's register
       file before each vector, as the sharded sweep requires. Used by
       {!run}'s non-stateful paths and the soak loop's concurrent
-      validation (DESIGN.md §15). *)
+      validation (DESIGN.md §15).
+
+      Each vector's rules are armed only while that vector is judged.
+      On return, normal or exceptional, the checker holds the rule set
+      it held at the call (re-armed through {!Checker.configure}, so
+      with fresh tallies): emissions after the batch — the soak's
+      background traffic — are judged by the caller's rules, and with
+      none armed they are only counted, never re-parsed. *)
 
   type divergence = {
     dv_path : int;  (** 1-based path index, in exploration order *)

@@ -18,9 +18,20 @@ type t =
 
 let escape = Telemetry.Export.json_escape
 
+(* a string with nothing to escape — every metric name — is appended as
+   it is rather than through an escaped copy *)
+let add_escaped b s =
+  if String.for_all (fun c -> c >= ' ' && c <> '"' && c <> '\\') s then
+    Buffer.add_string b s
+  else Buffer.add_string b (escape s)
+
+(* Integral values below 1e15 are exact ints, so their decimal digits are
+   what "%.0f" would print, without a trip through Printf; only -0. needs
+   its sign kept by hand. *)
 let add_num b (f : float) =
   if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" f)
+    Buffer.add_string b
+      (if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f))
   else Buffer.add_string b (Printf.sprintf "%.17g" f)
 
 let rec add b = function
@@ -29,7 +40,7 @@ let rec add b = function
   | Num f -> add_num b f
   | Str s ->
       Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
+      add_escaped b s;
       Buffer.add_char b '"'
   | Arr l ->
       Buffer.add_char b '[';
@@ -45,7 +56,7 @@ let rec add b = function
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_char b '"';
-          Buffer.add_string b (escape k);
+          add_escaped b k;
           Buffer.add_string b "\":";
           add b v)
         kvs;

@@ -15,6 +15,10 @@ type t =
 val to_string : t -> string
 (** Compact rendering (no whitespace); object keys keep their order. *)
 
+val add : Buffer.t -> t -> unit
+(** Append {!to_string}'s rendering to a buffer — for callers that render
+    many documents and reuse one buffer. *)
+
 val of_string : string -> (t, string) result
 (** Parse one complete JSON value; trailing garbage is an error. Handles
     everything {!to_string} emits (escapes included). *)

@@ -26,6 +26,7 @@ type t = {
   keep : int;
   sink : string -> unit;
   buf : Buffer.t;
+  line : Buffer.t;  (* reused per window: a fresh one regrows past 2 KB into the major heap *)
   prev_counters : (string, int64) Hashtbl.t;
   prev_gauges : (string, float) Hashtbl.t;
   prev_hists : (string, Histogram.t) Hashtbl.t;
@@ -44,6 +45,7 @@ let create ?(interval_ns = 100_000.) ?(keep = 64) ?sink registry ~start_ns =
     keep = max 1 keep;
     sink;
     buf;
+    line = Buffer.create 4096;
     prev_counters = Hashtbl.create 64;
     prev_gauges = Hashtbl.create 32;
     prev_hists = Hashtbl.create 16;
@@ -64,7 +66,7 @@ let hist_window w name = List.assoc_opt name w.w_hists
 (* One JSONL line per window. Delta encoding: counters appear only when
    they moved, gauges only when they changed (all of them on the first
    window), histograms only when the window saw samples. *)
-let line_of_window ~gauges_changed w =
+let line_of_window line ~gauges_changed w =
   let num f = Json.Num f in
   let counters =
     List.map (fun (n, d) -> (n, num (Int64.to_float d))) w.w_counters
@@ -85,7 +87,8 @@ let line_of_window ~gauges_changed w =
             ] ))
       w.w_hists
   in
-  Json.to_string
+  Buffer.clear line;
+  Json.add line
     (Json.Obj
        [
          ("seq", num (float_of_int w.w_seq));
@@ -94,8 +97,9 @@ let line_of_window ~gauges_changed w =
          ("counters", Json.Obj counters);
          ("gauges", Json.Obj gauges);
          ("hists", Json.Obj hists);
-       ])
-  ^ "\n"
+       ]);
+  Buffer.add_char line '\n';
+  Buffer.contents line
 
 let sample t ~now_ns =
   let t0 = t.next_ns -. t.interval_ns in
@@ -145,7 +149,7 @@ let sample t ~now_ns =
   t.windows <-
     (let ws = w :: t.windows in
      if List.length ws > t.keep then List.filteri (fun i _ -> i < t.keep) ws else ws);
-  t.sink (line_of_window ~gauges_changed:(List.rev !gauges_changed) w);
+  t.sink (line_of_window t.line ~gauges_changed:(List.rev !gauges_changed) w);
   w
 
 let tick t ~now_ns = if now_ns < t.next_ns then None else Some (sample t ~now_ns)

@@ -65,7 +65,9 @@ val run :
     evaluator with an HTTP endpoint). [sink] streams JSONL lines as they
     are produced instead of buffering them into the report. [on_window]
     runs after each window's sample+health evaluation — the serve loop
-    polls its HTTP listener there. *)
+    polls its HTTP listener there. The device's wire emissions are
+    drained ({!Target.Device.outputs}) once per window, so memory stays
+    bounded however long the run; none is retained when [run] returns. *)
 
 val rate_ok : report -> bool
 

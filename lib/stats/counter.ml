@@ -1,18 +1,22 @@
-type t = { name : string; mutable value : int64 }
+(* The value is an immediate [int], not an [int64]: a mutable int64 field
+   is a pointer to a boxed block, so every [incr] on the hot path would
+   allocate a fresh one. 63 bits outlast any run; the int64 API converts
+   at the edges. *)
+type t = { name : string; mutable value : int }
 
-let create name = { name; value = 0L }
+let create name = { name; value = 0 }
 
 let name t = t.name
 
-let incr t = t.value <- Int64.add t.value 1L
+let incr t = t.value <- t.value + 1
 
-let add t n = t.value <- Int64.add t.value n
+let add t n = t.value <- t.value + Int64.to_int n
 
-let get t = t.value
+let get t = Int64.of_int t.value
 
-let reset t = t.value <- 0L
+let reset t = t.value <- 0
 
-let pp ppf t = Format.fprintf ppf "%s=%Ld" t.name t.value
+let pp ppf t = Format.fprintf ppf "%s=%d" t.name t.value
 
 module Set = struct
   type counter = t
@@ -25,24 +29,24 @@ module Set = struct
     match Hashtbl.find_opt set n with
     | Some c -> c
     | None ->
-        let c = { name = n; value = 0L } in
+        let c = { name = n; value = 0 } in
         Hashtbl.add set n c;
         c
 
-  let get set n = match Hashtbl.find_opt set n with Some c -> c.value | None -> 0L
+  let get set n = match Hashtbl.find_opt set n with Some c -> Int64.of_int c.value | None -> 0L
 
   let incr set n =
     let c = find set n in
-    c.value <- Int64.add c.value 1L
+    c.value <- c.value + 1
 
   let add set n v =
     let c = find set n in
-    c.value <- Int64.add c.value v
+    c.value <- c.value + Int64.to_int v
 
-  let reset_all set = Hashtbl.iter (fun _ c -> c.value <- 0L) set
+  let reset_all set = Hashtbl.iter (fun _ c -> c.value <- 0) set
 
   let to_alist set =
-    Hashtbl.fold (fun n c acc -> (n, c.value) :: acc) set []
+    Hashtbl.fold (fun n c acc -> (n, Int64.of_int c.value) :: acc) set []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
   let pp ppf set =

@@ -1,5 +1,7 @@
-(** Named monotonically increasing 64-bit counters, the basic telemetry
-    primitive of the device model and the NetDebug checker. *)
+(** Named monotonically increasing counters, the basic telemetry
+    primitive of the device model and the NetDebug checker. Values are
+    read and added as [int64]; they are stored as native ints (63 bits on
+    64-bit hosts) so that {!incr} on the packet path allocates nothing. *)
 
 type t
 

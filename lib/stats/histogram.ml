@@ -1,5 +1,12 @@
-(* Log-binned histogram: bin i covers [base^i, base^(i+1)). Values below 1.0
-   land in bin 0. base is chosen so relative bin error stays within ~5%. *)
+(* Log-binned histogram: bin i covers [base^(i-1), base^i). Values below 1.0
+   land in bin 0. base is chosen so relative bin error stays within ~5%.
+
+   Only the span of bins that has been populated is stored: [bins.(k)]
+   counts bin [lo + k], every bin outside the span is zero. A latency
+   distribution occupies a few dozen of the 1024 bins, so copies and
+   window deltas stay small minor-heap blocks; a dense 1024-bin array is
+   over the minor heap's block-size limit and would be allocated in the
+   major heap on every copy. *)
 
 let base = 1.05
 
@@ -7,54 +14,89 @@ let log_base = log base
 
 let nbins = 1024
 
-type t = {
-  bins : int array;
-  mutable n : int;
+(* The float accumulators sit in an all-float record, which OCaml stores
+   flat, so updating them allocates nothing; a float field of a mixed
+   record would box a fresh float on every [add]. *)
+type acc = {
   mutable sum : float;
   mutable sumsq : float;
   mutable minv : float;
   mutable maxv : float;
 }
 
-let create () =
-  {
-    bins = Array.make nbins 0;
-    n = 0;
-    sum = 0.;
-    sumsq = 0.;
-    minv = infinity;
-    maxv = 0.;
-  }
+type t = {
+  mutable lo : int;
+  mutable bins : int array;
+  mutable n : int;
+  acc : acc;
+}
 
-let bin_of v = if v < 1.0 then 0 else min (nbins - 1) (1 + int_of_float (log v /. log_base))
+let create () =
+  { lo = 0; bins = [||]; n = 0; acc = { sum = 0.; sumsq = 0.; minv = infinity; maxv = 0. } }
+
+(* Stdlib.min/max semantics, without the polymorphic compare *)
+let fmin (a : float) b = if a <= b then a else b
+
+let fmax (a : float) b = if a >= b then a else b
+
+let bin_of v =
+  if v < 1.0 then 0
+  else
+    let i = 1 + int_of_float (log v /. log_base) in
+    if i < nbins - 1 then i else nbins - 1
 
 let upper_of i = if i = 0 then 1.0 else base ** float_of_int i
 
+(* count of bin [i], zero outside the stored span *)
+let bin t i =
+  let k = i - t.lo in
+  if k >= 0 && k < Array.length t.bins then t.bins.(k) else 0
+
+(* widen the stored span to cover bins [lo, hi] *)
+let cover t lo hi =
+  let len = Array.length t.bins in
+  if len = 0 then begin
+    t.lo <- lo;
+    t.bins <- Array.make (hi - lo + 1) 0
+  end
+  else if lo < t.lo || hi >= t.lo + len then begin
+    let lo' = if lo < t.lo then lo else t.lo in
+    let hi' = if hi >= t.lo + len then hi else t.lo + len - 1 in
+    let bins = Array.make (hi' - lo' + 1) 0 in
+    Array.blit t.bins 0 bins (t.lo - lo') len;
+    t.lo <- lo';
+    t.bins <- bins
+  end
+
 let add t v =
   let v = if v < 0. then 0. else v in
-  t.bins.(bin_of v) <- t.bins.(bin_of v) + 1;
+  let i = bin_of v in
+  cover t i i;
+  let k = i - t.lo in
+  t.bins.(k) <- t.bins.(k) + 1;
   t.n <- t.n + 1;
-  t.sum <- t.sum +. v;
-  t.sumsq <- t.sumsq +. (v *. v);
-  if v < t.minv then t.minv <- v;
-  if v > t.maxv then t.maxv <- v
+  let a = t.acc in
+  a.sum <- a.sum +. v;
+  a.sumsq <- a.sumsq +. (v *. v);
+  if v < a.minv then a.minv <- v;
+  if v > a.maxv then a.maxv <- v
 
 let count t = t.n
 
-let total t = t.sum
+let total t = t.acc.sum
 
-let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
+let mean t = if t.n = 0 then 0. else t.acc.sum /. float_of_int t.n
 
 (* minv starts at +inf as the fold identity; never leak it to callers *)
-let min_value t = if t.n = 0 then 0. else t.minv
+let min_value t = if t.n = 0 then 0. else t.acc.minv
 
-let max_value t = t.maxv
+let max_value t = t.acc.maxv
 
 let stddev t =
   if t.n < 2 then 0.
   else
     let m = mean t in
-    let var = (t.sumsq /. float_of_int t.n) -. (m *. m) in
+    let var = (t.acc.sumsq /. float_of_int t.n) -. (m *. m) in
     if var < 0. then 0. else sqrt var
 
 let percentile t p =
@@ -64,93 +106,83 @@ let percentile t p =
   else begin
     let rank = int_of_float (ceil (p /. 100. *. float_of_int t.n)) in
     let rank = max 1 (min t.n rank) in
-    let acc = ref 0 in
-    let result = ref t.maxv in
-    (try
-       for i = 0 to nbins - 1 do
-         acc := !acc + t.bins.(i);
-         if !acc >= rank then begin
-           result := min t.maxv (upper_of i);
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !result
+    let len = Array.length t.bins in
+    let rec go k seen =
+      if k >= len then t.acc.maxv
+      else
+        let seen = seen + t.bins.(k) in
+        if seen >= rank then fmin t.acc.maxv (upper_of (t.lo + k)) else go (k + 1) seen
+    in
+    go 0 0
   end
 
 let absorb a b =
-  for i = 0 to nbins - 1 do
-    a.bins.(i) <- a.bins.(i) + b.bins.(i)
-  done;
+  let len = Array.length b.bins in
+  if len > 0 then begin
+    cover a b.lo (b.lo + len - 1);
+    let off = b.lo - a.lo in
+    for k = 0 to len - 1 do
+      a.bins.(off + k) <- a.bins.(off + k) + b.bins.(k)
+    done
+  end;
   a.n <- a.n + b.n;
-  a.sum <- a.sum +. b.sum;
-  a.sumsq <- a.sumsq +. b.sumsq;
-  a.minv <- min a.minv b.minv;
-  a.maxv <- max a.maxv b.maxv
-
-let merge a b =
-  let t = create () in
-  for i = 0 to nbins - 1 do
-    t.bins.(i) <- a.bins.(i) + b.bins.(i)
-  done;
-  t.n <- a.n + b.n;
-  t.sum <- a.sum +. b.sum;
-  t.sumsq <- a.sumsq +. b.sumsq;
-  t.minv <- min a.minv b.minv;
-  t.maxv <- max a.maxv b.maxv;
-  t
+  a.acc.sum <- a.acc.sum +. b.acc.sum;
+  a.acc.sumsq <- a.acc.sumsq +. b.acc.sumsq;
+  a.acc.minv <- fmin a.acc.minv b.acc.minv;
+  a.acc.maxv <- fmax a.acc.maxv b.acc.maxv
 
 let copy t =
   {
+    lo = t.lo;
     bins = Array.copy t.bins;
     n = t.n;
-    sum = t.sum;
-    sumsq = t.sumsq;
-    minv = t.minv;
-    maxv = t.maxv;
+    acc = { sum = t.acc.sum; sumsq = t.acc.sumsq; minv = t.acc.minv; maxv = t.acc.maxv };
   }
+
+let merge a b =
+  let t = copy a in
+  absorb t b;
+  t
 
 let delta ~since cur =
   let t = create () in
-  for i = 0 to nbins - 1 do
-    let d = cur.bins.(i) - since.bins.(i) in
-    t.bins.(i) <- (if d < 0 then 0 else d)
-  done;
+  let d k =
+    let v = cur.bins.(k) - bin since (cur.lo + k) in
+    if v < 0 then 0 else v
+  in
+  (* the window's populated span: bins outside [cur]'s span are zero in
+     [cur], so their clamped deltas are too *)
+  let len = Array.length cur.bins in
+  let rec first k = if k < len && d k = 0 then first (k + 1) else k in
+  let rec last k = if d k = 0 then last (k - 1) else k in
+  let first = first 0 in
+  if first < len then begin
+    let last = last (len - 1) in
+    t.lo <- cur.lo + first;
+    t.bins <- Array.init (last - first + 1) (fun j -> d (first + j))
+  end;
   t.n <- max 0 (cur.n - since.n);
-  t.sum <- cur.sum -. since.sum;
-  t.sumsq <- cur.sumsq -. since.sumsq;
-  if t.n > 0 then begin
+  t.acc.sum <- cur.acc.sum -. since.acc.sum;
+  t.acc.sumsq <- cur.acc.sumsq -. since.acc.sumsq;
+  let len = Array.length t.bins in
+  if t.n > 0 && len > 0 then begin
     (* the cumulative min/max do not say which window an extreme landed in,
        so bound the window extremes by its populated bins instead *)
-    (try
-       for i = 0 to nbins - 1 do
-         if t.bins.(i) > 0 then begin
-           t.minv <- (if i = 0 then 0. else upper_of (i - 1));
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    (try
-       for i = nbins - 1 downto 0 do
-         if t.bins.(i) > 0 then begin
-           t.maxv <- min cur.maxv (upper_of i);
-           raise Exit
-         end
-       done
-     with Exit -> ())
+    t.acc.minv <- (if t.lo = 0 then 0. else upper_of (t.lo - 1));
+    t.acc.maxv <- fmin cur.acc.maxv (upper_of (t.lo + len - 1))
   end;
   t
 
 let clear t =
-  Array.fill t.bins 0 nbins 0;
+  Array.fill t.bins 0 (Array.length t.bins) 0;
   t.n <- 0;
-  t.sum <- 0.;
-  t.sumsq <- 0.;
-  t.minv <- infinity;
-  t.maxv <- 0.
+  t.acc.sum <- 0.;
+  t.acc.sumsq <- 0.;
+  t.acc.minv <- infinity;
+  t.acc.maxv <- 0.
 
 let pp_summary ppf t =
   if t.n = 0 then Format.fprintf ppf "n=0"
   else
     Format.fprintf ppf "n=%d mean=%.1f p50=%.1f p99=%.1f max=%.1f" t.n (mean t)
-      (percentile t 50.) (percentile t 99.) t.maxv
+      (percentile t 50.) (percentile t 99.) t.acc.maxv

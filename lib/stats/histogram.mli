@@ -3,7 +3,11 @@
 
     Values are non-negative floats (we use nanoseconds). Percentile queries
     are upper bounds of the containing bin, so reported quantiles never
-    understate latency. *)
+    understate latency.
+
+    Storage covers only the span of bins that has been populated, so a
+    histogram costs a few dozen words rather than one word per bin, and
+    [add] allocates nothing once its bin lies inside that span. *)
 
 type t
 
@@ -40,7 +44,8 @@ val absorb : t -> t -> unit
 
 val copy : t -> t
 (** Independent snapshot: later [add]s to either side do not affect the
-    other. Used by the observability sampler to window a live histogram. *)
+    other. Used by the observability sampler to window a live histogram;
+    its size is that of the populated bin span. *)
 
 val delta : since:t -> t -> t
 (** [delta ~since cur] is the dataset added to [cur] after [since] was

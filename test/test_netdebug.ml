@@ -410,6 +410,57 @@ let test_functional_detects_program_bug_with_oracle () =
          contains 0)
        r.Usecases.Functional.fr_mismatches)
 
+let test_check_batch_restores_rules () =
+  (* a vector's expected-field rules judge that vector only: once the
+     batch is over, returned or raised, the checker holds the caller's
+     rule set again and background traffic is not judged *)
+  let h = Harness.deploy Programs.basic_router in
+  let dev = h.Harness.device in
+  let chk = Netdebug.Agent.checker h.Harness.agent in
+  let metrics = Device.metrics dev in
+  let judged () =
+    ( Stats.Counter.get (Telemetry.Registry.counter metrics "checker/pass"),
+      Stats.Counter.get (Telemetry.Registry.counter metrics "checker/fail") )
+  in
+  let oracle = Programs.basic_router in
+  let rt = Usecases.Functional.oracle_runtime oracle in
+  let fwd = P.serialize (P.udp_ipv4 ~dst:0x0A000001L ()) in
+  let background () = ignore (Device.inject dev ~source:(Device.External 0) fwd) in
+  let pre = Netdebug.Checker.rules chk in
+  let verdicts = Usecases.Functional.check_batch oracle rt h [| fwd |] in
+  check_bool "vector validated" true (verdicts.(0) = None);
+  let after = judged () in
+  check_bool "the vector was judged" true (fst after > 0L);
+  background ();
+  check_bool "background not judged" true (judged () = after);
+  check_bool "pre-call rules re-armed" true (Netdebug.Checker.rules chk = pre);
+  (* the second vector's emission raises from a device tap, after that
+     vector's rules were armed *)
+  let shots = ref 0 in
+  Device.set_taps dev
+    (Some
+       {
+         Device.tp_parse = ignore;
+         tp_table = (fun ~table:_ ~hit:_ ~action:_ -> ());
+         tp_disposition =
+           (fun _ ->
+             incr shots;
+             if !shots = 2 then raise Exit);
+       });
+  (match Usecases.Functional.check_batch oracle rt h [| fwd; fwd |] with
+  | _ -> Alcotest.fail "the batch should have raised"
+  | exception Exit -> ());
+  Device.set_taps dev None;
+  let after = judged () in
+  background ();
+  check_bool "background not judged after a raise" true (judged () = after);
+  check_bool "pre-call rules re-armed after a raise" true (Netdebug.Checker.rules chk = pre);
+  (* a caller's own rules come back too *)
+  let mine = [ Controller.expect_port ~name:"mine" 1 ] in
+  Netdebug.Checker.configure chk mine;
+  ignore (Usecases.Functional.check_batch oracle rt h [| fwd |]);
+  check_bool "caller's rules re-armed" true (Netdebug.Checker.rules chk = mine)
+
 let test_check_batch_matches_check_vector () =
   (* the batched validation path must reproduce check_vector's verdicts
      index-for-index, on a quirky deployment so both mismatch and clean
@@ -650,6 +701,8 @@ let () =
             test_functional_detects_program_bug_with_oracle;
           Alcotest.test_case "check_batch matches check_vector" `Quick
             test_check_batch_matches_check_vector;
+          Alcotest.test_case "check_batch restores the rule set" `Quick
+            test_check_batch_restores_rules;
           Alcotest.test_case "performance sweep shape" `Slow test_performance_sweep_shape;
           Alcotest.test_case "compiler check battery" `Slow test_compiler_check_battery;
           Alcotest.test_case "architecture probe" `Quick test_architecture_probe;

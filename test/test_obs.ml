@@ -51,6 +51,21 @@ let test_json_roundtrip () =
   | Ok _ -> Alcotest.fail "truncated input should be rejected"
   | Error _ -> ()
 
+(* integral numbers skip Printf; the digits must be those "%.0f" prints *)
+let prop_json_integral_numbers =
+  let integral =
+    QCheck.Gen.(
+      oneof
+        [
+          map float_of_int (int_range (-1_000_000) 1_000_000);
+          map (fun f -> Float.round f) (float_range (-1e15) 1e15);
+          oneofl [ 0.; -0.; 999_999_999_999_999.; -999_999_999_999_999. ];
+        ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"integral numbers render as %.0f"
+    (QCheck.make ~print:string_of_float integral)
+    (fun f -> Float.abs f >= 1e15 || Json.to_string (Json.Num f) = Printf.sprintf "%.0f" f)
+
 (* ---------------- sampler ---------------- *)
 
 let test_sampler_windows () =
@@ -254,6 +269,22 @@ let test_soak_artifacts_roundtrip () =
   check_bool "prometheus has the drift counter" true
     (contains r.Soak.so_prometheus "netdebug_soak_verdict_drift 0\n")
 
+let test_soak_bounded () =
+  (* the soak drains the device's wire emissions every window, and its
+     background traffic is only counted by the checker: rule evaluations
+     come from the validation vectors alone, and none fails *)
+  let h = Harness.deploy Programs.basic_router in
+  let r = Soak.run ~cfg:{ Soak.default_cfg with Soak.sk_budget = 2_000 } h in
+  check_bool "healthy" true r.Soak.so_healthy;
+  check_int "no emission retained" 0 (List.length (Device.outputs h.Harness.device));
+  let metrics = Device.metrics h.Harness.device in
+  let get name = Counter.get (Registry.counter metrics name) in
+  Alcotest.(check int64) "no rule evaluation failed" 0L (get "checker/fail");
+  (* one expected-field rule per header field plus the port rule, for
+     each of the run's validation vectors: far fewer than the emissions *)
+  check_bool "only validation vectors are judged" true
+    (get "checker/pass" > 0L && get "checker/pass" < Int64.of_int (20 * r.Soak.so_validated))
+
 (* Everything virtual-time-side is deterministic from the seed; only the
    gc/* gauges depend on real process state, so strip gauges before
    comparing the streams. *)
@@ -394,7 +425,10 @@ let () =
   Alcotest.run "obs"
     [
       ( "json",
-        [ Alcotest.test_case "to_string/of_string roundtrip" `Quick test_json_roundtrip ]
+        [
+          Alcotest.test_case "to_string/of_string roundtrip" `Quick test_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_integral_numbers;
+        ]
       );
       ( "sampler",
         [ Alcotest.test_case "windows and deltas" `Quick test_sampler_windows ] );
@@ -409,6 +443,7 @@ let () =
           Alcotest.test_case "artifacts roundtrip" `Quick test_soak_artifacts_roundtrip;
           Alcotest.test_case "deterministic" `Quick test_soak_deterministic;
           Alcotest.test_case "fault gates the exit" `Quick test_soak_fault_gate;
+          Alcotest.test_case "bounded retention and judging" `Quick test_soak_bounded;
         ] );
       ( "merge",
         [

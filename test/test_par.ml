@@ -99,13 +99,17 @@ let test_shard_init_once_per_worker () =
             w * 10)
       in
       let xs = Array.init 200 (fun i -> i) in
-      ignore
-        (Pool.map_chunks pool ~chunk:4
-           (fun ~worker i _ ->
-             check_int "slot belongs to its worker" (worker * 10)
-               (Shard.get shard ~worker);
-             i)
-           xs);
+      (* Alcotest prints every check through one shared Format queue,
+         which is not domain-safe: record inside the tasks and assert on
+         the caller after the join *)
+      let seen =
+        Pool.map_chunks pool ~chunk:4
+          (fun ~worker _ _ -> (worker, Shard.get shard ~worker))
+          xs
+      in
+      Array.iter
+        (fun (worker, slot) -> check_int "slot belongs to its worker" (worker * 10) slot)
+        seen;
       check_int "one init per initialized slot" (Shard.initialized shard)
         (Atomic.get inits);
       check_bool "at least the caller's slot" true (Shard.initialized shard >= 1);

@@ -121,6 +121,154 @@ let prop_percentile_bracket =
       (* upper bound within one bin (5%) plus the sub-1.0 bin *)
       est >= true_p90 -. 1e-9 && est <= (true_p90 *. 1.06) +. 1.0)
 
+let test_hot_cells_allocate_nothing () =
+  (* every emission bumps counters and adds a latency: once the value's
+     bin is inside the stored span neither call may allocate (boxed
+     int64 counters and mixed-record float fields cost 3 + 6 words) *)
+  let c = Counter.create "x" and h = Histogram.create () in
+  let v = 150.0 in
+  Histogram.add h v;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Counter.incr c;
+    Histogram.add h v
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "%.0f words for 1000 incr+add" words) true (words < 100.);
+  check_i64 "counted" 1_000L (Counter.get c);
+  check_int "added" 1_001 (Histogram.count h)
+
+(* The histogram stores only its populated bin span. Its observable
+   behaviour must be that of one count per bin over all 1024 bins: this
+   dense model is that reference, and the property drives both through
+   the same adds, snapshots, clears, window deltas and merges. *)
+module Dense = struct
+  let nbins = 1024
+
+  type t = {
+    bins : int array;
+    mutable n : int;
+    mutable sum : float;
+    mutable sumsq : float;
+    mutable minv : float;
+    mutable maxv : float;
+  }
+
+  let create () =
+    { bins = Array.make nbins 0; n = 0; sum = 0.; sumsq = 0.; minv = infinity; maxv = 0. }
+
+  let bin_of v = if v < 1.0 then 0 else min (nbins - 1) (1 + int_of_float (log v /. log 1.05))
+
+  let upper_of i = if i = 0 then 1.0 else 1.05 ** float_of_int i
+
+  let add t v =
+    let v = if v < 0. then 0. else v in
+    t.bins.(bin_of v) <- t.bins.(bin_of v) + 1;
+    t.n <- t.n + 1;
+    t.sum <- t.sum +. v;
+    t.sumsq <- t.sumsq +. (v *. v);
+    if v < t.minv then t.minv <- v;
+    if v > t.maxv then t.maxv <- v
+
+  let percentile t p =
+    if t.n = 0 then 0.
+    else begin
+      let rank = max 1 (min t.n (int_of_float (ceil (p /. 100. *. float_of_int t.n)))) in
+      let rec go i acc =
+        if i = nbins then t.maxv
+        else
+          let acc = acc + t.bins.(i) in
+          if acc >= rank then min t.maxv (upper_of i) else go (i + 1) acc
+      in
+      go 0 0
+    end
+
+  let copy t = { t with bins = Array.copy t.bins }
+
+  let merge a b =
+    {
+      bins = Array.init nbins (fun i -> a.bins.(i) + b.bins.(i));
+      n = a.n + b.n;
+      sum = a.sum +. b.sum;
+      sumsq = a.sumsq +. b.sumsq;
+      minv = min a.minv b.minv;
+      maxv = max a.maxv b.maxv;
+    }
+
+  let delta ~since cur =
+    let bins = Array.init nbins (fun i -> max 0 (cur.bins.(i) - since.bins.(i))) in
+    let t =
+      {
+        (create ()) with
+        bins;
+        n = max 0 (cur.n - since.n);
+        sum = cur.sum -. since.sum;
+        sumsq = cur.sumsq -. since.sumsq;
+      }
+    in
+    let populated = List.filter (fun i -> bins.(i) > 0) (List.init nbins Fun.id) in
+    (if t.n > 0 then
+       match populated with
+       | [] -> ()
+       | first :: _ ->
+           let last = List.nth populated (List.length populated - 1) in
+           t.minv <- (if first = 0 then 0. else upper_of (first - 1));
+           t.maxv <- min cur.maxv (upper_of last));
+    t
+
+  let clear t =
+    Array.fill t.bins 0 nbins 0;
+    t.n <- 0;
+    t.sum <- 0.;
+    t.sumsq <- 0.;
+    t.minv <- infinity;
+    t.maxv <- 0.
+end
+
+let same_as_dense h (d : Dense.t) =
+  Histogram.count h = d.Dense.n
+  && Histogram.total h = d.Dense.sum
+  && Histogram.min_value h = (if d.Dense.n = 0 then 0. else d.Dense.minv)
+  && Histogram.max_value h = d.Dense.maxv
+  && List.for_all
+       (fun p -> Histogram.percentile h p = Dense.percentile d p)
+       [ 0.; 1.; 10.; 25.; 50.; 75.; 90.; 99.; 99.9; 100. ]
+
+let prop_span_matches_dense =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, float_range 0. 1e6);
+          (2, float_range (-5.) 2.);
+          (2, float_range 100. 200.);
+          (1, return 1e300);
+        ])
+  in
+  let samples = QCheck.Gen.(list_size (int_range 0 60) value) in
+  QCheck.Test.make ~count:300 ~name:"span storage matches dense bins"
+    (QCheck.make QCheck.Gen.(quad samples samples samples bool))
+    (fun (xs, ys, zs, clear) ->
+      let h = Histogram.create () and d = Dense.create () in
+      let add_both vs = List.iter (fun v -> Histogram.add h v; Dense.add d v) vs in
+      add_both xs;
+      let ok_xs = same_as_dense h d in
+      let snap = Histogram.copy h and dsnap = Dense.copy d in
+      if clear then begin
+        Histogram.clear h;
+        Dense.clear d
+      end;
+      add_both ys;
+      (* later adds never reach the snapshot *)
+      let ok_snap = same_as_dense snap dsnap in
+      let w = Histogram.delta ~since:snap h and dw = Dense.delta ~since:dsnap d in
+      let other = Histogram.create () and dother = Dense.create () in
+      List.iter (fun v -> Histogram.add other v; Dense.add dother v) zs;
+      let m = Histogram.merge w other and dm = Dense.merge dw dother in
+      Histogram.absorb h other;
+      let dh = Dense.merge d dother in
+      ok_xs && ok_snap && same_as_dense w dw && same_as_dense m dm && same_as_dense h dh)
+
 (* ---------------- Rate ---------------- *)
 
 let test_rate_basic () =
@@ -192,6 +340,9 @@ let () =
           Alcotest.test_case "stddev" `Quick test_histogram_stddev;
           Alcotest.test_case "merge" `Quick test_histogram_merge;
           QCheck_alcotest.to_alcotest prop_percentile_bracket;
+          QCheck_alcotest.to_alcotest prop_span_matches_dense;
+          Alcotest.test_case "hot cells allocate nothing" `Quick
+            test_hot_cells_allocate_nothing;
         ] );
       ( "rate",
         [
