@@ -9,7 +9,7 @@
      dune exec bench/main.exe -- micro --check-overhead
                                                      — fail if full span
                                                        sampling (B11) costs
-                                                       >10% over B1
+                                                       >10% over B14
 *)
 
 let () =

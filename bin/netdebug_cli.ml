@@ -8,7 +8,7 @@
      verify PROGRAM          formal verification battery on the spec
      validate PROGRAM        NetDebug functional validation on the device
      localize PROGRAM        inject a fault and localize it
-     journey PROGRAM         stage-by-stage trace of one packet
+     journey PROGRAM         one packet's span tree, stage by stage
      trace PROGRAM           run validation traffic, export per-packet spans
      metrics PROGRAM         run validation traffic, print Prometheus metrics
      testgen PROGRAM         path-covering test vectors from symbolic execution,
@@ -136,6 +136,10 @@ let or_die = function
       Format.eprintf "error: %s@." msg;
       exit 1
 
+(* Create an optional artifact directory, missing parents included, before
+   the run that fills it: a bad path then fails at once, not at the end. *)
+let make_artifact_dir = Option.iter (fun dir -> or_die (Telemetry.Export.mkdir_p dir))
+
 (* ---------------- list ---------------- *)
 
 let list_cmd =
@@ -246,6 +250,7 @@ let print_span_tree ppf spans =
 let validate_cmd =
   let run name quirks faithful fuzz fuzz_seed jobs pcap_out telemetry_dir =
     let b = or_die (find_bundle name) in
+    make_artifact_dir telemetry_dir;
     let quirks = Common_args.effective_quirks quirks faithful in
     Format.printf "toolchain quirks: %a@." Quirks.pp quirks;
     (* a real clock, so table/<name>/update_ns telemetry carries actual
@@ -366,10 +371,6 @@ let journey_cmd =
     | Target.Device.Dropped_pipeline r -> Format.printf "disposition: dropped (%s)@." r
     | Target.Device.Dropped_queue -> Format.printf "disposition: queue drop@."
     | Target.Device.Lost_in_stage s -> Format.printf "disposition: lost in %s@." s);
-    Format.printf "@.per-stage journey (internal trace):@.";
-    List.iter
-      (fun e -> Format.printf "  %a@." Trace.pp_event e)
-      (Trace.events_for_packet (Target.Device.trace h.Harness.device) id);
     Format.printf "@.span tree (virtual time, ns):@.";
     print_span_tree Format.std_formatter
       (Telemetry.Span.spans_for_packet (Target.Device.spans h.Harness.device) id);
@@ -384,7 +385,7 @@ let journey_cmd =
   in
   Cmd.v
     (Cmd.info "journey"
-       ~doc:"Inject one packet and print its stage-by-stage journey from the taps")
+       ~doc:"Inject one packet and print its stage-by-stage span tree")
     Term.(const run $ program_arg $ hex_arg)
 
 (* ---------------- trace ---------------- *)
@@ -624,6 +625,7 @@ let testgen_cmd =
   let run name quirk_set quirks faithful seed max_paths jobs emit_corpus check report_out
       =
     let b = or_die (find_bundle name) in
+    make_artifact_dir emit_corpus;
     let quirks =
       match quirk_set with
       | Some q -> q
@@ -645,7 +647,6 @@ let testgen_cmd =
     | None -> ());
     (match emit_corpus with
     | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
         List.iteri
           (fun i pkt ->
             let path = Filename.concat dir (Printf.sprintf "%03d.bin" i) in
@@ -755,6 +756,7 @@ let soak_out_arg =
 let soak_cmd =
   let run name quirks faithful budget seed rate window validations min_rate fault out =
     let b = or_die (find_bundle name) in
+    make_artifact_dir out;
     let quirks = Common_args.effective_quirks quirks faithful in
     let h = Harness.deploy ~quirks b in
     (match fault with
@@ -820,6 +822,7 @@ let soak_cmd =
 let serve_cmd =
   let run name quirks faithful port budget seed rate window out =
     let b = or_die (find_bundle name) in
+    make_artifact_dir out;
     let quirks = Common_args.effective_quirks quirks faithful in
     let h = Harness.deploy ~quirks b in
     let registry = Device.metrics h.Harness.device in
@@ -853,9 +856,7 @@ let serve_cmd =
        serve loop must not buffer its time series in memory *)
     let jsonl_chan =
       match out with
-      | Some dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          Some (open_out (Filename.concat dir "soak.jsonl"))
+      | Some dir -> Some (open_out (Filename.concat dir "soak.jsonl"))
       | None -> None
     in
     let sink =
@@ -1039,6 +1040,7 @@ let net_cmd =
   in
   let run topo_spec scenario jobs fault telemetry_dir report_file export_topo =
     let topo = or_die (parse_topo topo_spec) in
+    make_artifact_dir telemetry_dir;
     Format.printf "%s@." (Net.Topology.summary topo);
     let t0 = Unix.gettimeofday () in
     let fab = Net.Fabric.create topo in
@@ -1073,7 +1075,6 @@ let net_cmd =
     | None -> ());
     (match telemetry_dir with
     | Some dir ->
-        (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
         let path = Filename.concat dir "metrics.prom" in
         let oc = open_out path in
         output_string oc (Telemetry.Export.prometheus r.Fleet.r_registry);

@@ -55,30 +55,19 @@ let replicate ?(faults = false) t =
 
 let trace_health t =
   let spans = Device.spans t.device in
-  let trace = Device.trace t.device in
-  Printf.sprintf
-    "telemetry: %d spans retained, %d evicted (sampling 1/%d); %d trace events, %d dropped"
+  Printf.sprintf "telemetry: %d spans retained, %d evicted (sampling 1/%d)"
     (Telemetry.Span.count spans)
     (Telemetry.Span.dropped spans)
     (max 1 (Telemetry.Span.sampling spans))
-    (Trace.count trace) (Trace.dropped trace)
 
 let export_artifacts t ~dir =
-  (if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
-  let write name contents =
-    let path = Filename.concat dir name in
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc;
-    path
-  in
   let spans = Device.spans t.device in
-  let metrics = Device.metrics t.device in
-  [
-    write "trace.json" (Telemetry.Export.chrome_trace spans);
-    write "spans.jsonl" (Telemetry.Export.jsonl spans);
-    write "metrics.prom" (Telemetry.Export.prometheus metrics);
-  ]
+  Telemetry.Export.write_files ~dir
+    [
+      ("trace.json", Telemetry.Export.chrome_trace spans);
+      ("spans.jsonl", Telemetry.Export.jsonl spans);
+      ("metrics.prom", Telemetry.Export.prometheus (Device.metrics t.device));
+    ]
 
 let spec_oracle t bits =
   (Interp.process t.bundle.Programs.program (Device.runtime t.device)

@@ -48,15 +48,15 @@ val replicate : ?faults:bool -> t -> t
     only ever see it on one shard (see [Net.Fabric.replicate]). *)
 
 val trace_health : t -> string
-(** One-line telemetry health summary: spans retained/evicted, sampling
-    rate, trace events recorded/dropped. Surfaces ring-buffer eviction so
-    truncated observability data is never read as complete. *)
+(** One-line telemetry health summary: spans retained/evicted and the
+    sampling rate. Surfaces ring-buffer eviction so truncated
+    observability data is never read as complete. *)
 
 val export_artifacts : t -> dir:string -> string list
 (** Write [trace.json] (Chrome trace_event, Perfetto-loadable),
     [spans.jsonl] and [metrics.prom] (Prometheus text exposition) into
-    [dir] (created if missing, one level deep). Returns the paths
-    written. *)
+    [dir], created with any missing parents. Returns the paths written.
+    @raise Sys_error when [dir] cannot be created or a file written. *)
 
 val generator_port : int
 (** The internal source port id test packets carry ([ingress_port] seen by

@@ -266,16 +266,9 @@ let render r =
   Buffer.contents b
 
 let write_artifacts r ~dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let write name contents =
-    let path = Filename.concat dir name in
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc;
-    path
-  in
-  [
-    write "soak.jsonl" r.so_jsonl;
-    write "health.json" r.so_health_json;
-    write "metrics.prom" r.so_prometheus;
-  ]
+  Telemetry.Export.write_files ~dir
+    [
+      ("soak.jsonl", r.so_jsonl);
+      ("health.json", r.so_health_json);
+      ("metrics.prom", r.so_prometheus);
+    ]

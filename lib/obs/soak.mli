@@ -79,4 +79,5 @@ val render : report -> string
 
 val write_artifacts : report -> dir:string -> string list
 (** Write [soak.jsonl], [health.json] and [metrics.prom] into [dir]
-    (created if missing); returns the paths. *)
+    (created with any missing parents); returns the paths.
+    @raise Sys_error when [dir] cannot be created or a file written. *)

@@ -4,14 +4,6 @@
    ints (no local closures, no refs, no tuples), misses are the sentinel
    -1, and the per-lookup key words live in a preallocated scratch. *)
 
-let enabled_memo =
-  lazy
-    (match Sys.getenv_opt "NETDEBUG_CLASSIFIER" with
-    | Some s when String.lowercase_ascii (String.trim s) = "scan" -> false
-    | _ -> true)
-
-let enabled () = Lazy.force enabled_memo
-
 (* ------------------------------------------------------------------ *)
 (* Row tables: open-addressing hash over masked key words              *)
 (* ------------------------------------------------------------------ *)

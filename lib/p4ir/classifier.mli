@@ -25,17 +25,9 @@
     key width (which {!Value.matches_prefix} answers by raising), and
     tables whose key widths exceed 62 bits (beyond OCaml's native int).
     The replica preserves full observational equivalence, it is just
-    linear again.
-
-    The environment variable [NETDEBUG_CLASSIFIER=scan] disables the
-    classifier process-wide and keeps both engines on the legacy scan —
-    the differential baseline. *)
+    linear again. *)
 
 type t
-
-val enabled : unit -> bool
-(** False when [NETDEBUG_CLASSIFIER=scan]: callers should keep using the
-    legacy {!Entry.select} scan. Read once per process. *)
 
 val create : kws:int array -> degrade:bool -> resolve:(int -> Entry.t) -> t
 (** A classifier for keys of widths [kws] (in key order), under the

@@ -3,9 +3,8 @@
    context. Every header field, metadatum and standard-metadata slot is
    interned to an [int64 array] index with its bit offset and width
    precomputed, the parser FSM becomes a dispatch table over state indices,
-   match-action tables compile to specialized matchers (exact -> hash
-   lookup, everything else -> a presorted first-match scan that is provably
-   equivalent to [Entry.select]), actions become closure chains over a
+   match-action tables look up the runtime's incremental [Classifier]
+   (equivalent to [Entry.select]), actions become closure chains over a
    positional argument vector, and the deparser emits into a reused
    [Bitstring.Builder].
 
@@ -22,14 +21,6 @@ module Bitstring = Bitutil.Bitstring
 module Builder = Bitstring.Builder
 
 type engine = [ `Tree | `Staged ]
-
-let default_engine_v =
-  lazy
-    (match Sys.getenv_opt "NETDEBUG_ENGINE" with
-    | Some s when String.lowercase_ascii s = "tree" -> `Tree
-    | Some _ | None -> `Staged)
-
-let default_engine () = Lazy.force default_engine_v
 
 let mask_of width =
   if width >= 64 then -1L else Int64.sub (Int64.shift_left 1L width) 1L
@@ -135,21 +126,7 @@ let field_slot lay h f = Hashtbl.find_opt lay.field_ids (h ^ "." ^ f)
 
 type bound = { b_name : string; b_exec : inst -> unit }
 
-and matcher =
-  | M_empty
-  | M_hash of (int, bound) Hashtbl.t
-  | M_scan of {
-      n : int;
-      nk : int;
-      masks : int64 array;  (* row-major [n * nk] *)
-      vals : int64 array;
-      bounds : bound array;
-    }
-  | M_fallback of (Entry.t * bound) list  (* exact [Entry.select] replica *)
-
 and tstate = {
-  mutable ts_gen : int;
-  mutable ts_m : matcher;  (* legacy matchers (NETDEBUG_CLASSIFIER=scan) *)
   mutable ts_slot : Runtime.tslot option;  (* pinned on first apply *)
   mutable ts_cls : Classifier.t option;  (* shared incremental classifier *)
   mutable ts_bounds : bound array;  (* action closures, dense by entry id *)
@@ -470,110 +447,6 @@ let make_bound (action_ids : (string, int) Hashtbl.t) (cactions : caction array)
         }
       end
 
-(* Entry lowering for the fast scan: per (entry key, table key-width) pair,
-   a (mask, value) test over the raw key value such that
-   [key land mask = value] iff [Entry.key_matches] holds. *)
-let scan_cell ~degrade kw (mk : Entry.mkey) =
-  match mk with
-  | Entry.Exact_v e -> (-1L, Value.to_int64 e)
-  | Entry.Ternary_v (e, m) ->
-      if degrade then (-1L, Value.to_int64 e)
-      else
-        let mr = Value.to_int64 m in
-        (mr, Int64.logand (Value.to_int64 e) mr)
-  | Entry.Lpm_v (e, len) ->
-      if len = 0 then (0L, 0L)
-      else begin
-        let shift = kw - len in
-        (* len > kw raises per lookup in the tree engine; callers route
-           such entries to the [M_fallback] replica instead *)
-        assert (shift >= 0);
-        let m = Int64.shift_left (mask_of len) shift in
-        (m, Int64.logand (Int64.logand (Value.to_int64 e) (mask_of kw)) m)
-      end
-
-(* Would evaluating this entry against [nk] keys of widths [kws] ever raise
-   inside [Entry.keys_match]? (Only [Value.matches_prefix] with
-   [prefix_len > key width] can.) Position pairing mirrors [keys_match]:
-   keys beyond the shorter list are never evaluated. *)
-let entry_may_raise kws nk (e : Entry.t) =
-  let rec go k = function
-    | [] -> false
-    | _ when k >= nk -> false
-    | Entry.Lpm_v (_, len) :: rest -> (len > 0 && len > kws.(k)) || go (k + 1) rest
-    | (Entry.Exact_v _ | Entry.Ternary_v _) :: rest -> go (k + 1) rest
-  in
-  go 0 e.Entry.keys
-
-let compile_table action_ids cactions ~degrade (kws : int array) =
-  let nk = Array.length kws in
-  fun (ts : tstate) (slot : Runtime.tslot) (gen : int) ->
-    let entries = Runtime.tslot_entries slot in
-    ts.ts_gen <- gen;
-    if entries = [] then ts.ts_m <- M_empty
-    else if List.exists (entry_may_raise kws nk) entries then
-      ts.ts_m <-
-        M_fallback
-          (List.map (fun e -> (e, make_bound action_ids cactions e.Entry.action e.Entry.args)) entries)
-    else begin
-      let arr = Array.of_list entries in
-      let n = Array.length arr in
-      let prio = Array.map (fun e -> e.Entry.priority) arr in
-      let spec = Array.map Entry.specificity arr in
-      (* winner order: priority desc, specificity desc, install asc — the
-         first match in this order is exactly [Entry.select]'s answer *)
-      let order = Array.init n Fun.id in
-      Array.sort
-        (fun i j ->
-          if prio.(i) <> prio.(j) then compare prio.(j) prio.(i)
-          else if spec.(i) <> spec.(j) then compare spec.(j) spec.(i)
-          else compare i j)
-        order;
-      let single_exact =
-        nk = 1 && kws.(0) <= 62
-        && Array.for_all (fun e -> match e.Entry.keys with [ Entry.Exact_v _ ] -> true | _ -> false) arr
-      in
-      if single_exact then begin
-        let h = Hashtbl.create (2 * n) in
-        Array.iter
-          (fun i ->
-            match arr.(i).Entry.keys with
-            | [ Entry.Exact_v v ] ->
-                let raw = Value.to_int64 v in
-                (* values outside the key's range can never match *)
-                if Int64.unsigned_compare raw (mask_of kws.(0)) <= 0 then begin
-                  let k = Int64.to_int raw in
-                  if not (Hashtbl.mem h k) then
-                    Hashtbl.add h k (make_bound action_ids cactions arr.(i).Entry.action arr.(i).Entry.args)
-                end
-            | _ -> assert false)
-          order;
-        ts.ts_m <- M_hash h
-      end
-      else begin
-        (* drop rows that can never match (key-arity mismatch); they have
-           no effects in the tree engine either once raising is excluded *)
-        let rows =
-          Array.of_list (List.filter (fun e -> List.length e.Entry.keys = nk) (Array.to_list (Array.map (fun i -> arr.(i)) order)))
-        in
-        let rn = Array.length rows in
-        let masks = Array.make (rn * nk) 0L and vals = Array.make (rn * nk) 0L in
-        let bounds =
-          Array.map (fun e -> make_bound action_ids cactions e.Entry.action e.Entry.args) rows
-        in
-        Array.iteri
-          (fun r e ->
-            List.iteri
-              (fun k mk ->
-                let m, v = scan_cell ~degrade kws.(k) mk in
-                masks.((r * nk) + k) <- m;
-                vals.((r * nk) + k) <- v)
-              e.Entry.keys)
-          rows;
-        ts.ts_m <- M_scan { n = rn; nk; masks; vals; bounds }
-      end
-    end
-
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                               *)
 (* ------------------------------------------------------------------ *)
@@ -671,14 +544,10 @@ and compile_stmt cc prog action_ids cactions degrade tbl_ids params (s : Ast.stm
           in
           let kws = Array.map (fun c -> c.cw) keys in
           let nk = Array.length keys in
-          let rebuild = compile_table action_ids cactions ~degrade kws in
           let default_b =
             make_bound action_ids cactions tbl.Ast.t_default_action tbl.Ast.t_default_args
           in
           let dname = tbl.Ast.t_default_action in
-          (* resolved once per process: flipping the classifier off is a
-             process-level experiment control, not a runtime toggle *)
-          let use_cls = Classifier.enabled () in
           (* grow-on-demand per-id cache of compiled action closures; ids
              are never reused, so entries here can never go stale *)
           let bound_for ts slot id =
@@ -713,98 +582,25 @@ and compile_stmt cc prog action_ids cactions degrade tbl_ids params (s : Ast.stm
                   ts.ts_slot <- Some s;
                   s
             in
-            if use_cls then begin
-              (* incremental mode: the classifier is patched in place by
-                 the control plane, so there is nothing to invalidate *)
-              let cls =
-                match ts.ts_cls with
-                | Some c -> c
-                | None ->
-                    let c = Runtime.tslot_classifier slot ~kws ~degrade in
-                    ts.ts_cls <- Some c;
-                    c
-              in
-              if st.always_miss tname then begin
-                st.on_table tid false dname;
-                default_b.b_exec st
-              end
-              else begin
-                let id = Classifier.find_raw cls st.kscratch in
-                if id >= 0 then begin
-                  let b = bound_for ts slot id in
-                  st.on_table tid true b.b_name;
-                  b.b_exec st
-                end
-                else begin
-                  st.on_table tid false dname;
-                  default_b.b_exec st
-                end
-              end
+            (* the classifier is patched in place by the control plane, so
+               there is nothing to invalidate *)
+            let cls =
+              match ts.ts_cls with
+              | Some c -> c
+              | None ->
+                  let c = Runtime.tslot_classifier slot ~kws ~degrade in
+                  ts.ts_cls <- Some c;
+                  c
+            in
+            let id = if st.always_miss tname then -1 else Classifier.find_raw cls st.kscratch in
+            if id >= 0 then begin
+              let b = bound_for ts slot id in
+              st.on_table tid true b.b_name;
+              b.b_exec st
             end
             else begin
-              (* scan mode: legacy matchers, invalidated per table — churn
-                 on another table no longer forces a rebuild here *)
-              let g = Runtime.tslot_gen slot in
-              if ts.ts_gen <> g then rebuild ts slot g;
-              if st.always_miss tname then begin
-                st.on_table tid false dname;
-                default_b.b_exec st
-              end
-              else begin
-                match ts.ts_m with
-              | M_empty ->
-                  st.on_table tid false dname;
-                  default_b.b_exec st
-              | M_hash h -> (
-                  let raw = st.kscratch.(0) in
-                  (* keys are <= 62 bits wide here, so the int conversion
-                     is exact *)
-                  match Hashtbl.find h (Int64.to_int raw) with
-                  | b ->
-                      st.on_table tid true b.b_name;
-                      b.b_exec st
-                  | exception Not_found ->
-                      st.on_table tid false dname;
-                      default_b.b_exec st)
-              | M_scan { n; nk; masks; vals; bounds } ->
-                  let row = ref 0 and found = ref (-1) in
-                  while !found < 0 && !row < n do
-                    let base = !row * nk in
-                    let k = ref 0 in
-                    while
-                      !k < nk
-                      && Int64.logand st.kscratch.(!k) (Array.unsafe_get masks (base + !k))
-                         = Array.unsafe_get vals (base + !k)
-                    do
-                      incr k
-                    done;
-                    if !k = nk then found := !row else incr row
-                  done;
-                  if !found >= 0 then begin
-                    let b = Array.unsafe_get bounds !found in
-                    st.on_table tid true b.b_name;
-                    b.b_exec st
-                  end
-                  else begin
-                    st.on_table tid false dname;
-                    default_b.b_exec st
-                  end
-              | M_fallback ebounds ->
-                  (* exact replica of the tree lookup, including its raise
-                     behaviour on pathological LPM entries *)
-                  let vs =
-                    Array.to_list (Array.mapi (fun i w -> Value.make ~width:w st.kscratch.(i)) kws)
-                  in
-                  let entries = List.map fst ebounds in
-                  (match Entry.select ~degrade_ternary_to_exact:degrade entries vs with
-                  | Some e ->
-                      let b = List.assq e ebounds in
-                      st.on_table tid true b.b_name;
-                      b.b_exec st
-                  | None ->
-                      st.on_table tid false dname;
-                      default_b.b_exec st)
-              end
+              st.on_table tid false dname;
+              default_b.b_exec st
             end)
 
 and reg_id (prog : Ast.program) name =
@@ -1099,7 +895,7 @@ let instantiate ?(on_count = fun _ -> ()) ?(on_assert = fun _ _ -> ())
     kscratch = Array.make cp.scratch_keys 0L;
     tstates =
       Array.init cp.n_tables (fun _ ->
-          { ts_gen = -1; ts_m = M_empty; ts_slot = None; ts_cls = None; ts_bounds = [||] });
+          { ts_slot = None; ts_cls = None; ts_bounds = [||] });
     i_runtime = rt;
     regs = resolve_regs cp regstore;
     ck_scratch = Builder.create ~capacity_bits:256 ();

@@ -13,12 +13,7 @@
     [instantiate] then binds the compiled form to a control plane
     ({!Runtime.t}), register storage and observation callbacks, yielding a
     mutable per-executor instance that processes packets with no
-    steady-state allocation. Under [NETDEBUG_CLASSIFIER=scan] tables fall
-    back to the legacy specialized matchers (single exact key -> hash
-    table; the general case -> a presorted first-match scan equivalent to
-    {!Entry.select}; pathological entries -> a byte-for-byte
-    [Entry.select] replica), rebuilt lazily when the table's own
-    {!Runtime.tslot_gen} moves — never on churn to other tables.
+    steady-state allocation.
 
     The staged engine is observationally equivalent to the tree-walking
     interpreter ({!Parse}/{!Exec}/{!Deparse}) under the same hooks:
@@ -30,10 +25,9 @@
     {!Typecheck}, so the engines agree on every well-typed program. *)
 
 type engine = [ `Tree | `Staged ]
-
-val default_engine : unit -> engine
-(** [`Staged] unless the [NETDEBUG_ENGINE] environment variable is set to
-    ["tree"] (case-insensitive). Read once per process. *)
+(** The two executors of a program: the tree-walking interpreter
+    ({!Parse}/{!Exec}/{!Deparse}), kept as the readable specification
+    reference, and this staged engine. *)
 
 type t
 (** A compiled program: immutable, shareable across instances (and across

@@ -1,8 +1,9 @@
 (** Per-packet runtime state: header instances, user metadata, standard
     metadata and (during action execution) action parameters.
 
-    Both the reference interpreter and the compiled device pipeline operate
-    on this state. Reading a field of an invalid header yields zero — the
+    The tree interpreter operates on this state; the staged engine
+    ({!Compilecore}) mirrors it over integer slots. Reading a field of an
+    invalid header yields zero — the
     P4 spec leaves it undefined; we pick the common hardware behaviour and
     rely on it consistently in both executors. *)
 

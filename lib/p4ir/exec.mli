@@ -1,12 +1,12 @@
 (** Evaluation of IR expressions and execution of IR statements against an
     {!Env}.
 
-    Shared by the reference interpreter (spec semantics, {!spec_hooks}) and
-    the compiled device pipeline, which passes hooks describing the
-    compiler's deviations from the spec (the SDNet quirk model). Keeping a
-    single executor parameterized by hooks guarantees that any observable
-    difference between interpreter and device is due to the hooks — the
-    property NetDebug detects. *)
+    The reference interpreter runs it under {!spec_hooks}; the staged
+    engine the compiled device runs ({!Compilecore}) takes the same
+    [hooks] record, describing the compiler's deviations from the spec
+    (the SDNet quirk model). Parameterizing both by one hooks record
+    keeps any observable difference between interpreter and device down
+    to the hooks — the property NetDebug detects. *)
 
 type phase = Ingress | Egress
 

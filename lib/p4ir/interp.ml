@@ -173,8 +173,7 @@ let process_staged ?regs program runtime ~ingress_port bits =
     end
   end
 
-let process ?engine ?regs program runtime ~ingress_port bits =
-  let engine = match engine with Some e -> e | None -> Compilecore.default_engine () in
+let process ?(engine = `Staged) ?regs program runtime ~ingress_port bits =
   match engine with
   | `Tree -> process_tree ?regs program runtime ~ingress_port bits
   | `Staged -> process_staged ?regs program runtime ~ingress_port bits

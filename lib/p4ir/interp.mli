@@ -28,10 +28,10 @@ val process :
     thread persistent register state across calls; the default is a fresh
     zeroed store per packet (pure single-packet specification semantics).
 
-    [engine] selects the executor (default {!Compilecore.default_engine},
-    i.e. [`Staged] unless [NETDEBUG_ENGINE=tree]): [`Tree] walks the AST
-    directly; [`Staged] runs the program compiled to closures, cached per
-    domain on the (program, runtime) pair. The two are observationally
+    [engine] selects the executor (default [`Staged]): [`Staged] runs the
+    program compiled to closures, cached per domain on the (program,
+    runtime) pair; [`Tree] walks the AST directly and is the reference
+    the staged engine is tested against. The two are observationally
     equivalent; staged is several times faster per packet. *)
 
 val forward :

@@ -1,8 +1,9 @@
 (** Execution of the parser state machine over raw packet bits.
 
     Used by the interpreter with {!spec_hooks} (reject means drop, as the
-    P4-16 specification requires) and by the compiled device with hooks
-    derived from the SDNet quirk model — in particular
+    P4-16 specification requires); the compiled device's staged engine
+    ({!Compilecore}) takes the same hooks, derived from the SDNet quirk
+    model — in particular
     [on_reject = `Continue], reproducing the real SDNet bug the paper
     discovered: packets that reach [reject] proceed through the pipeline
     instead of being dropped. *)

@@ -11,7 +11,6 @@ type slot = {
   mutable s_arr : Entry.t option array;  (* by local id; None = removed *)
   mutable s_next : int;  (* next id to allocate; never reset *)
   mutable s_count : int;  (* live entries *)
-  mutable s_gen : int;  (* per-table mutation counter *)
   s_index : (int * Entry.mkey list, int list) Hashtbl.t;  (* live ids, ascending *)
   mutable s_cls : Classifier.t option;
   mutable s_cls_degrade : Classifier.t option;
@@ -19,7 +18,6 @@ type slot = {
 
 type t = {
   tbl : (string, slot) Hashtbl.t;
-  mutable gen : int;
   mutable hook : (string -> int -> unit) option;  (* table, update ns *)
   mutable hook_clock : unit -> int64;
 }
@@ -27,18 +25,13 @@ type t = {
 type tslot = slot
 
 let create () =
-  { tbl = Hashtbl.create 8; gen = 0; hook = None; hook_clock = (fun () -> 0L) }
-
-let generation t = t.gen
-
-let bump t = t.gen <- t.gen + 1
+  { tbl = Hashtbl.create 8; hook = None; hook_clock = (fun () -> 0L) }
 
 let new_slot () =
   {
     s_arr = [||];
     s_next = 0;
     s_count = 0;
-    s_gen = 0;
     s_index = Hashtbl.create 16;
     s_cls = None;
     s_cls_degrade = None;
@@ -145,8 +138,6 @@ let add program t ~table e =
           let ids = match Hashtbl.find_opt s.s_index ks with Some l -> l | None -> [] in
           Hashtbl.replace s.s_index ks (ids @ [ id ]);
           cls_iter s (fun c -> Classifier.insert c id e);
-          s.s_gen <- s.s_gen + 1;
-          bump t;
           Ok ())
 
 let add_exn program t ~table e =
@@ -173,8 +164,6 @@ let remove program t ~table (e : Entry.t) =
                   if rest = [] then Hashtbl.remove s.s_index (key_sig e)
                   else Hashtbl.replace s.s_index (key_sig e) rest;
                   cls_iter s (fun c -> Classifier.remove c id stored);
-                  s.s_gen <- s.s_gen + 1;
-                  bump t;
                   Ok ())))
 
 let remove_exn program t ~table e =
@@ -209,22 +198,16 @@ let clear_slot s =
   done;
   s.s_count <- 0;
   Hashtbl.reset s.s_index;
-  cls_iter s Classifier.clear;
-  s.s_gen <- s.s_gen + 1
+  cls_iter s Classifier.clear
 
 let clear_table t name =
   match Hashtbl.find_opt t.tbl name with
-  | Some s ->
-      timed t name (fun () ->
-          clear_slot s;
-          bump t)
+  | Some s -> timed t name (fun () -> clear_slot s)
   | None -> ()
 
 (* Slots stay in place (ids keep growing) so engine handles cached against
    them survive a wipe. *)
-let clear t =
-  Hashtbl.iter (fun _ s -> clear_slot s) t.tbl;
-  bump t
+let clear t = Hashtbl.iter (fun _ s -> clear_slot s) t.tbl
 
 let copy t =
   let t' = create () in
@@ -282,7 +265,7 @@ let rec key_widths acc = function
   | [] -> List.rev acc
   | v :: rest -> key_widths (Value.width v :: acc) rest
 
-(* Hot path (both engines route table applies through here): [Hashtbl.find]
+(* Hot path (the tree engine routes table applies through here): [Hashtbl.find]
    rather than [find_opt] — the latter allocates an option per call, and
    this function must allocate nothing on a hit. *)
 let lookup t ~table ~degrade_ternary_to_exact:degrade keys =
@@ -290,10 +273,6 @@ let lookup t ~table ~degrade_ternary_to_exact:degrade keys =
   | exception Not_found -> None
   | s ->
       if s.s_count = 0 then None
-      else if not (Classifier.enabled ()) then
-        (* NETDEBUG_CLASSIFIER=scan: the legacy linear scan, kept as the
-           differential baseline *)
-        Entry.select ~degrade_ternary_to_exact:degrade (slot_entries s) keys
       else begin
         let c =
           match if degrade then s.s_cls_degrade else s.s_cls with
@@ -308,10 +287,6 @@ let lookup t ~table ~degrade_ternary_to_exact:degrade keys =
 (* ---------------- engine-facing slot handles ---------------- *)
 
 let tslot = slot
-
-let tslot_gen (s : tslot) = s.s_gen
-
-let tslot_entries (s : tslot) = slot_entries s
 
 let tslot_entry (s : tslot) id =
   match if id >= 0 && id < s.s_next then s.s_arr.(id) else None with

@@ -47,21 +47,14 @@ val lookup :
     (priority, specificity, install-order) tie-break — {!Entry.select}
     semantics, answered by the per-table {!Classifier} (built lazily from
     the first lookup's key widths and patched incrementally ever after).
-    With [NETDEBUG_CLASSIFIER=scan] it runs the legacy linear scan
-    instead; both engines route their table applies through here. *)
+    The tree engine's table applies go through here; the staged engine
+    holds the same classifiers through {!tslot_classifier}. *)
 
 val clear_table : t -> string -> unit
 
 val clear : t -> unit
 
 val tables : t -> string list
-
-val generation : t -> int
-(** Monotone global mutation counter: bumped by every successful {!add},
-    {!remove}, {!clear_table} and {!clear}. Kept for observers that need
-    "did anything change"; the staged engine now invalidates on the
-    per-table {!tslot_gen} instead, so churn on one table no longer
-    touches another table's compiled matcher. *)
 
 val set_update_hook :
   t -> ?clock:(unit -> int64) -> (string -> int -> unit) -> unit
@@ -73,8 +66,8 @@ val set_update_hook :
 
 (** {2 Engine-facing slot handles}
 
-    A [tslot] pins one table's state so per-packet paths can poll its
-    generation and fetch entries by id without re-hashing the table name.
+    A [tslot] pins one table's state so per-packet paths can reach its
+    classifier and fetch entries by id without re-hashing the table name.
     Handles stay valid forever: {!clear} empties slots in place rather
     than dropping them, and ids are never reallocated. *)
 
@@ -82,12 +75,6 @@ type tslot
 
 val tslot : t -> string -> tslot
 (** Find-or-create the slot for [name]. *)
-
-val tslot_gen : tslot -> int
-(** Per-table mutation counter (O(1) per-packet poll). *)
-
-val tslot_entries : tslot -> Entry.t list
-(** Live entries in install order. *)
 
 val tslot_entry : tslot -> int -> Entry.t
 (** The live entry with this local id.

@@ -1,9 +1,5 @@
 module Ast = P4ir.Ast
-module Env = P4ir.Env
 module Exec = P4ir.Exec
-module Parse = P4ir.Parse
-module Deparse = P4ir.Deparse
-module Value = P4ir.Value
 module Runtime = P4ir.Runtime
 module Regstate = P4ir.Regstate
 module Stdmeta = P4ir.Stdmeta
@@ -69,7 +65,7 @@ type stage_state = {
   ss_hit : Counter.t option;
   ss_miss : Counter.t option;
   ss_fault_applied : Counter.t;
-  ss_enter_ns : float;  (* latency from pipeline entry to this stage, for trace stamps *)
+  ss_enter_ns : float;  (* latency from pipeline entry to this stage, for span stamps *)
   ss_latency_ns : float;
   ss_name_id : int;  (* interned span name, e.g. "stage[2]:ma:ipv4_lpm" *)
   ss_span_kind : Span.kind;
@@ -77,27 +73,21 @@ type stage_state = {
   mutable ss_fault_hits : int;
 }
 
-(* The staged execution state: the pipeline's program compiled to closures
-   (shared across devices via the pipeline's lazy core) plus this device's
-   instance of it. [sg_stage_of_table] maps the core's dense table ids to
-   the match-action stages so the per-apply callback does no hashing. *)
-type dstaged = {
-  sg : Compilecore.inst;
-  sg_core : Compilecore.t;
-}
-
+(* The pipeline runs on its program compiled to closures ([core], shared
+   by every device made from the pipeline via its lazy field) through this
+   device's own instance [sg]. [stage_of_table] maps the core's dense
+   table ids to the match-action stages so the per-apply callback does no
+   hashing. *)
 type t = {
   pipeline : Pipeline.t;
   config : Config.t;
-  staged : dstaged option;
+  core : Compilecore.t;
+  sg : Compilecore.inst;
   runtime : Runtime.t;
   regs : Regstate.t;
   counters : Counter.Set.t;
   metrics : Registry.t;
   spanstore : Span.t;
-  trace : Trace.t;
-  env : Env.t;
-  ctx : Exec.ctx;
   cycle_ns : float;
   latency_ns : float;
   stages : stage_state array;
@@ -105,13 +95,14 @@ type t = {
   ss_egress : stage_state;
   ss_deparser : stage_state;
   by_stage : (string, stage_state) Hashtbl.t;
-  taps : taps option ref;
-  faults_active : bool ref;
-  cur_id : int ref;
-  cur_entry : float ref;
-  cur_sampled : bool ref;  (* is the in-flight packet fully spanned? *)
-  cur_root : int ref;  (* reserved span id of the in-flight packet's root *)
-  cur_end : float ref;  (* latest virtual time the in-flight packet reached *)
+  stage_of_table : stage_state option array;
+  mutable taps : taps option;
+  mutable faults_active : bool;
+  mutable cur_id : int;
+  mutable cur_entry : float;
+  mutable cur_sampled : bool;  (* is the in-flight packet fully spanned? *)
+  mutable cur_root : int;  (* reserved span id of the in-flight packet's root *)
+  mutable cur_end : float;  (* latest virtual time the in-flight packet reached *)
   mutable now : float;
   mutable pipe_free : float;  (* when the bus finishes streaming the last packet in *)
   rx_q : Ringq.t;
@@ -140,60 +131,74 @@ type t = {
   note_enter : int;
   note_emit : int;
   note_tail_drop : int;
-  prog_counters : (string, Counter.t) Hashtbl.t;
 }
 
-let corrupt env h f mask =
-  let cur = Env.get_field env h f in
-  Env.set_field env h f (Value.logxor cur (Value.make ~width:(Value.width cur) mask))
+(* A child span of the in-flight packet's root. *)
+let span_child t ~kind ~name ~t0 ~t1 ~bytes ~flags ~note =
+  ignore
+    (Span.add t.spanstore ~parent:t.cur_root ~packet:t.cur_id ~kind ~name ~t0 ~t1 ~bytes ~flags
+       ~note)
 
-(* Drop-class faults at stage entry; raising [Lost] unwinds the traversal. *)
-let fault_drop ss =
+let lose ss =
+  Counter.incr ss.ss_fault_applied;
+  raise (Lost ss.ss_name)
+
+(* The stage's injected fault: drop-class faults unwind the walk with
+   [Lost]; a corrupt fault XORs its mask into the field. *)
+let apply_fault t ss =
   match ss.ss_fault with
-  | None | Some (Fault.Corrupt_field _) | Some Fault.Stuck_miss -> ()
-  | Some Fault.Drop_at_stage ->
-      Counter.incr ss.ss_fault_applied;
-      raise (Lost ss.ss_name)
+  | None | Some Fault.Stuck_miss -> ()
+  | Some Fault.Drop_at_stage -> lose ss
   | Some (Fault.Intermittent_drop n) ->
       ss.ss_fault_hits <- ss.ss_fault_hits + 1;
-      if n > 0 && ss.ss_fault_hits mod n = 0 then begin
-        Counter.incr ss.ss_fault_applied;
-        raise (Lost ss.ss_name)
-      end
-
-let fault_corrupt env ss =
-  match ss.ss_fault with
+      if n > 0 && ss.ss_fault_hits mod n = 0 then lose ss
   | Some (Fault.Corrupt_field (h, f, mask)) ->
       Counter.incr ss.ss_fault_applied;
-      corrupt env h f mask
-  | _ -> ()
+      Compilecore.corrupt_field t.sg h f mask
 
-let fault_at env ss =
-  fault_drop ss;
-  fault_corrupt env ss
+(* What every stage does with a packet — the parser, each match-action
+   stage, egress and the deparser alike: count it in, span it when it is
+   sampled, then apply the stage's fault. *)
+let pass_stage t ss ~flags ~note =
+  Counter.incr ss.ss_seen;
+  if t.cur_sampled then begin
+    let t0 = t.cur_entry +. ss.ss_enter_ns in
+    span_child t ~kind:ss.ss_span_kind ~name:ss.ss_name_id ~t0 ~t1:(t0 +. ss.ss_latency_ns)
+      ~bytes:0 ~flags ~note
+  end;
+  if t.faults_active then apply_fault t ss
 
-(* Staged counterparts: the corrupt fault mutates the slot array directly. *)
-let fault_corrupt_staged si ss =
-  match ss.ss_fault with
-  | Some (Fault.Corrupt_field (h, f, mask)) ->
-      Counter.incr ss.ss_fault_applied;
-      Compilecore.corrupt_field si h f mask
-  | _ -> ()
+(* The compiled core's callback on every table apply, before the action
+   body runs. *)
+let table_applied t id hit action =
+  (match t.taps with
+  | Some tp -> tp.tp_table ~table:(Compilecore.table_name t.core id) ~hit ~action
+  | None -> ());
+  match t.stage_of_table.(id) with
+  | None -> ()
+  | Some ss ->
+      (match if hit then ss.ss_hit else ss.ss_miss with
+      | Some c -> Counter.incr c
+      | None -> ());
+      pass_stage t ss ~flags:0
+        ~note:
+          (if t.cur_sampled then Span.intern t.spanstore (if hit then action else "miss")
+           else Span.no_note)
 
-let fault_at_staged si ss =
-  fault_drop ss;
-  fault_corrupt_staged si ss
+let stuck_miss t by_table tbl =
+  t.faults_active
+  && match Hashtbl.find_opt by_table tbl with
+     | Some { ss_fault = Some Fault.Stuck_miss; _ } -> true
+     | _ -> false
 
-let create ?engine ?update_clock (pipeline : Pipeline.t) =
+let create ?update_clock (pipeline : Pipeline.t) =
   let config = pipeline.Pipeline.config in
   let program = pipeline.Pipeline.program in
   let cycle_ns = Config.cycle_ns config in
   let counters = Counter.Set.create () in
   let metrics = Registry.create ~counters () in
   let spanstore = Span.create ~sampling:default_span_sampling () in
-  let trace = Trace.create () in
   let runtime = Runtime.create () in
-  let env = Env.create program in
   let regs = Regstate.create program in
   let offset = ref 0 in
   let stages =
@@ -299,129 +304,36 @@ let create ?engine ?update_clock (pipeline : Pipeline.t) =
       match Hashtbl.find_opt table_update_h name with
       | Some h -> Histogram.add h (float_of_int ns)
       | None -> ());
-  let taps = ref None in
-  let faults_active = ref false in
-  let cur_id = ref 0 in
-  let cur_entry = ref 0.0 in
-  let cur_sampled = ref false in
-  let cur_root = ref 0 in
-  let cur_end = ref 0.0 in
-  let on_table ~table ~hit ~action =
-    (match !taps with Some tp -> tp.tp_table ~table ~hit ~action | None -> ());
-    match Hashtbl.find_opt by_table table with
-    | None -> ()
-    | Some ss ->
-        Counter.incr ss.ss_seen;
-        (match (if hit then ss.ss_hit else ss.ss_miss) with
-        | Some c -> Counter.incr c
-        | None -> ());
-        Trace.record trace ~packet_id:!cur_id
-          ~time_ns:(!cur_entry +. ss.ss_enter_ns)
-          ~component:ss.ss_name
-          (if hit then action else "miss");
-        if !cur_sampled then begin
-          let t0 = !cur_entry +. ss.ss_enter_ns in
-          ignore
-            (Span.add spanstore ~parent:!cur_root ~packet:!cur_id ~kind:ss.ss_span_kind
-               ~name:ss.ss_name_id ~t0 ~t1:(t0 +. ss.ss_latency_ns) ~bytes:0 ~flags:0
-               ~note:(Span.intern spanstore (if hit then action else "miss")))
-        end;
-        if !faults_active then fault_at env ss
-  in
-  let prog_counters = Hashtbl.create 8 in
-  let on_count name =
-    let c =
-      match Hashtbl.find_opt prog_counters name with
-      | Some c -> c
-      | None ->
-          let c = Counter.Set.find counters ("prog/" ^ name) in
-          Hashtbl.add prog_counters name c;
-          c
-    in
-    Counter.incr c
+  let core = Lazy.force pipeline.Pipeline.staged in
+  (* program counters are resolved on first increment, so "prog/<name>"
+     only appears in the metrics once the program bumps it *)
+  let prog_counters = Array.make (max 1 (Compilecore.n_counters core)) None in
+  let on_count id =
+    match prog_counters.(id) with
+    | Some c -> Counter.incr c
+    | None ->
+        let c = Counter.Set.find counters ("prog/" ^ Compilecore.counter_name core id) in
+        prog_counters.(id) <- Some c;
+        Counter.incr c
   in
   let c_assert_failed =
     Registry.counter metrics ~help:"program assertions that evaluated false" "assert/failed"
   in
-  let on_assert ok _msg = if not ok then Counter.incr c_assert_failed in
-  let base_hooks = pipeline.Pipeline.exec_hooks in
-  let table_always_miss tbl =
-    base_hooks.Exec.table_always_miss tbl
-    || !faults_active
-       &&
-       match Hashtbl.find_opt by_table tbl with
-       | Some { ss_fault = Some Fault.Stuck_miss; _ } -> true
-       | _ -> false
+  let on_assert ok _id = if not ok then Counter.incr c_assert_failed in
+  (* the core's table callbacks need the device, which needs the core's
+     instance: tie the knot through [self] *)
+  let self = ref None in
+  let on_table id hit action =
+    match !self with Some t -> table_applied t id hit action | None -> ()
   in
-  let hooks = { base_hooks with Exec.table_always_miss } in
-  let ctx = Exec.make_ctx ~hooks ~on_count ~on_assert ~on_table ~regs ~env ~runtime () in
-  let engine = match engine with Some e -> e | None -> Compilecore.default_engine () in
-  let staged =
-    match engine with
-    | `Tree -> None
-    | `Staged ->
-        let core = Lazy.force pipeline.Pipeline.staged in
-        let nt = Compilecore.n_tables core in
-        let stage_of_table =
-          Array.init nt (fun i -> Hashtbl.find_opt by_table (Compilecore.table_name core i))
-        in
-        (* per-id counter cells, resolved on first increment like the
-           string-keyed path above *)
-        let id_counters = Array.make (max 1 (Compilecore.n_counters core)) None in
-        let sg_count id =
-          let c =
-            match id_counters.(id) with
-            | Some c -> c
-            | None ->
-                let name = Compilecore.counter_name core id in
-                let c =
-                  match Hashtbl.find_opt prog_counters name with
-                  | Some c -> c
-                  | None ->
-                      let c = Counter.Set.find counters ("prog/" ^ name) in
-                      Hashtbl.add prog_counters name c;
-                      c
-                in
-                id_counters.(id) <- Some c;
-                c
-          in
-          Counter.incr c
-        in
-        let sg_assert ok _id = if not ok then Counter.incr c_assert_failed in
-        (* tied after [instantiate] so the fault path can reach the
-           instance's own state *)
-        let si_box = ref None in
-        let sg_table id hit action =
-          (match !taps with
-          | Some tp -> tp.tp_table ~table:(Compilecore.table_name core id) ~hit ~action
-          | None -> ());
-          match stage_of_table.(id) with
-          | None -> ()
-          | Some ss ->
-              Counter.incr ss.ss_seen;
-              (match (if hit then ss.ss_hit else ss.ss_miss) with
-              | Some c -> Counter.incr c
-              | None -> ());
-              Trace.record trace ~packet_id:!cur_id
-                ~time_ns:(!cur_entry +. ss.ss_enter_ns)
-                ~component:ss.ss_name
-                (if hit then action else "miss");
-              if !cur_sampled then begin
-                let t0 = !cur_entry +. ss.ss_enter_ns in
-                ignore
-                  (Span.add spanstore ~parent:!cur_root ~packet:!cur_id ~kind:ss.ss_span_kind
-                     ~name:ss.ss_name_id ~t0 ~t1:(t0 +. ss.ss_latency_ns) ~bytes:0 ~flags:0
-                     ~note:(Span.intern spanstore (if hit then action else "miss")))
-              end;
-              if !faults_active then
-                match !si_box with Some si -> fault_at_staged si ss | None -> ()
-        in
-        let si =
-          Compilecore.instantiate ~on_count:sg_count ~on_assert:sg_assert ~on_table:sg_table
-            ~table_always_miss ~regs core ~runtime
-        in
-        si_box := Some si;
-        Some { sg = si; sg_core = core }
+  let base_always_miss = pipeline.Pipeline.exec_hooks.Exec.table_always_miss in
+  let table_always_miss tbl =
+    base_always_miss tbl
+    || match !self with Some t -> stuck_miss t by_table tbl | None -> false
+  in
+  let sg =
+    Compilecore.instantiate ~on_count ~on_assert ~on_table ~table_always_miss ~regs core
+      ~runtime
   in
   let rx_q = Ringq.create config.Config.rx_queue_packets in
   let tx_q = Array.init config.Config.ports (fun _ -> Ringq.create config.Config.tx_queue_packets) in
@@ -434,82 +346,86 @@ let create ?engine ?update_clock (pipeline : Pipeline.t) =
         (Printf.sprintf "txq%d/depth" p)
         (fun () -> float_of_int (Ringq.length q)))
     tx_q;
-  {
-    pipeline;
-    config;
-    staged;
-    runtime;
-    regs;
-    counters;
-    metrics;
-    spanstore;
-    trace;
-    env;
-    ctx;
-    cycle_ns;
-    latency_ns = float_of_int (Pipeline.total_latency_cycles pipeline) *. cycle_ns;
-    stages;
-    ss_parser = find_stage "parser";
-    ss_egress = find_stage "egress";
-    ss_deparser = find_stage "deparser";
-    by_stage;
-    taps;
-    faults_active;
-    cur_id;
-    cur_entry;
-    cur_sampled;
-    cur_root;
-    cur_end;
-    now = 0.0;
-    pipe_free = 0.0;
-    rx_q;
-    tx_q;
-    tx_free = Array.make config.Config.ports 0.0;
-    broken = Array.make config.Config.ports false;
-    outs_rev = [];
-    check_tap = ignore;
-    next_id = 0;
-    c_rx_external =
-      Registry.counter metrics ~help:"packets arrived on physical ports" "rx/external";
-    c_rx_generator =
-      Registry.counter metrics ~help:"packets injected by the internal generator" "rx/generator";
-    c_drop_queue =
-      Registry.counter metrics ~help:"tail drops at the full input queue" "drop/queue";
-    c_drop_pipeline =
-      Registry.counter metrics ~help:"packets dropped by program semantics" "drop/pipeline";
-    c_drop_fault =
-      Registry.counter metrics ~help:"packets swallowed by an injected fault" "drop/fault";
-    c_emitted =
-      Registry.counter metrics ~help:"emissions observed at the check point" "tx/emitted";
-    c_assert_failed;
-    c_txq_drop =
-      Array.init config.Config.ports (fun p ->
-          Registry.counter metrics ~help:"tail drops at this port's full TX queue"
-            (Printf.sprintf "drop/txq%d" p));
-    h_pipe_latency =
-      Registry.histogram metrics
-        ~help:"virtual ns from device arrival to pipeline exit (check point)"
-        "pipeline/latency_ns";
-    h_rxq_wait =
-      Registry.histogram metrics
-        ~help:"virtual ns a packet waited before the pipeline bus accepted it"
-        "rxq/wait_ns";
-    h_tx_ser =
-      Array.init config.Config.ports (fun p ->
-          Registry.histogram metrics
-            ~help:"virtual ns spent serializing onto this port's wire"
-            (Printf.sprintf "tx/port%d/serialization_ns" p));
-    n_packet = Span.intern spanstore "packet";
-    n_rx_queue = Span.intern spanstore "rx_queue";
-    n_tx =
-      Array.init config.Config.ports (fun p -> Span.intern spanstore (Printf.sprintf "tx[%d]" p));
-    note_accept = Span.intern spanstore "accept";
-    note_reject = Span.intern spanstore "reject";
-    note_enter = Span.intern spanstore "enter";
-    note_emit = Span.intern spanstore "emit";
-    note_tail_drop = Span.intern spanstore "tail-drop";
-    prog_counters;
-  }
+  let t =
+    {
+      pipeline;
+      config;
+      core;
+      sg;
+      runtime;
+      regs;
+      counters;
+      metrics;
+      spanstore;
+      cycle_ns;
+      latency_ns = float_of_int (Pipeline.total_latency_cycles pipeline) *. cycle_ns;
+      stages;
+      ss_parser = find_stage "parser";
+      ss_egress = find_stage "egress";
+      ss_deparser = find_stage "deparser";
+      by_stage;
+      stage_of_table =
+        Array.init (Compilecore.n_tables core) (fun i ->
+            Hashtbl.find_opt by_table (Compilecore.table_name core i));
+      taps = None;
+      faults_active = false;
+      cur_id = 0;
+      cur_entry = 0.0;
+      cur_sampled = false;
+      cur_root = 0;
+      cur_end = 0.0;
+      now = 0.0;
+      pipe_free = 0.0;
+      rx_q;
+      tx_q;
+      tx_free = Array.make config.Config.ports 0.0;
+      broken = Array.make config.Config.ports false;
+      outs_rev = [];
+      check_tap = ignore;
+      next_id = 0;
+      c_rx_external =
+        Registry.counter metrics ~help:"packets arrived on physical ports" "rx/external";
+      c_rx_generator =
+        Registry.counter metrics ~help:"packets injected by the internal generator" "rx/generator";
+      c_drop_queue =
+        Registry.counter metrics ~help:"tail drops at the full input queue" "drop/queue";
+      c_drop_pipeline =
+        Registry.counter metrics ~help:"packets dropped by program semantics" "drop/pipeline";
+      c_drop_fault =
+        Registry.counter metrics ~help:"packets swallowed by an injected fault" "drop/fault";
+      c_emitted =
+        Registry.counter metrics ~help:"emissions observed at the check point" "tx/emitted";
+      c_assert_failed;
+      c_txq_drop =
+        Array.init config.Config.ports (fun p ->
+            Registry.counter metrics ~help:"tail drops at this port's full TX queue"
+              (Printf.sprintf "drop/txq%d" p));
+      h_pipe_latency =
+        Registry.histogram metrics
+          ~help:"virtual ns from device arrival to pipeline exit (check point)"
+          "pipeline/latency_ns";
+      h_rxq_wait =
+        Registry.histogram metrics
+          ~help:"virtual ns a packet waited before the pipeline bus accepted it"
+          "rxq/wait_ns";
+      h_tx_ser =
+        Array.init config.Config.ports (fun p ->
+            Registry.histogram metrics
+              ~help:"virtual ns spent serializing onto this port's wire"
+              (Printf.sprintf "tx/port%d/serialization_ns" p));
+      n_packet = Span.intern spanstore "packet";
+      n_rx_queue = Span.intern spanstore "rx_queue";
+      n_tx =
+        Array.init config.Config.ports (fun p -> Span.intern spanstore (Printf.sprintf "tx[%d]" p));
+      note_accept = Span.intern spanstore "accept";
+      note_reject = Span.intern spanstore "reject";
+      note_enter = Span.intern spanstore "enter";
+      note_emit = Span.intern spanstore "emit";
+      note_tail_drop = Span.intern spanstore "tail-drop";
+    }
+  in
+  self := Some t;
+  t
 
 let pipeline t = t.pipeline
 let config t = t.config
@@ -518,7 +434,6 @@ let registers t = t.regs
 let counters t = t.counters
 let metrics t = t.metrics
 let spans t = t.spanstore
-let trace t = t.trace
 let now_ns t = t.now
 
 let set_span_sampling t n = Span.set_sampling t.spanstore n
@@ -526,12 +441,10 @@ let set_span_sampling t n = Span.set_sampling t.spanstore n
 let set_check_tap t f = t.check_tap <- f
 
 let set_taps t tp =
-  t.taps := tp;
+  t.taps <- tp;
   (* the parse tap consumes [states_visited]; only track it when someone
      is listening *)
-  match t.staged with
-  | Some d -> Compilecore.set_track_states d.sg (Option.is_some tp)
-  | None -> ()
+  Compilecore.set_track_states t.sg (Option.is_some tp)
 
 let set_port_broken t port broken =
   if port < 0 || port >= t.config.Config.ports then
@@ -544,7 +457,7 @@ let inject_fault t ~stage fault =
   | Some ss ->
       ss.ss_fault <- Some fault;
       ss.ss_fault_hits <- 0;
-      t.faults_active := true
+      t.faults_active <- true
 
 let clear_faults t =
   Array.iter
@@ -552,18 +465,12 @@ let clear_faults t =
       ss.ss_fault <- None;
       ss.ss_fault_hits <- 0)
     t.stages;
-  t.faults_active := false
+  t.faults_active <- false
 
 let faults t =
   Array.to_list t.stages
   |> List.filter_map (fun ss ->
          match ss.ss_fault with Some f -> Some (ss.ss_name, f) | None -> None)
-
-(* A child span of the in-flight packet's root. *)
-let span_child t ~kind ~name ~t0 ~t1 ~bytes ~flags ~note =
-  ignore
-    (Span.add t.spanstore ~parent:!(t.cur_root) ~packet:!(t.cur_id) ~kind ~name ~t0 ~t1
-       ~bytes ~flags ~note)
 
 (* Emission: the check tap observes everything that left the pipeline; only
    packets bound for a healthy physical port with TX buffer room go on to
@@ -587,7 +494,7 @@ let emit t ~source ~arrival ~out_time ~port bits =
     ignore (Ringq.drop_leq q out_time);
     if Ringq.is_full q then begin
       Counter.incr t.c_txq_drop.(port);
-      if !(t.cur_sampled) then
+      if t.cur_sampled then
         span_child t ~kind:Span.Tx ~name:t.n_tx.(port) ~t0:out_time ~t1:out_time ~bytes:0
           ~flags:Span.flag_drop ~note:t.note_tail_drop
     end
@@ -599,8 +506,8 @@ let emit t ~source ~arrival ~out_time ~port bits =
       t.tx_free.(port) <- wire;
       ignore (Ringq.push q wire);
       Histogram.add t.h_tx_ser.(port) ser;
-      t.cur_end := wire;
-      if !(t.cur_sampled) then
+      t.cur_end <- wire;
+      if t.cur_sampled then
         span_child t ~kind:Span.Tx ~name:t.n_tx.(port) ~t0:out_time ~t1:wire ~bytes ~flags:0
           ~note:Span.no_note;
       t.outs_rev <- { out with o_wire_time_ns = wire } :: t.outs_rev
@@ -608,156 +515,36 @@ let emit t ~source ~arrival ~out_time ~port bits =
   end;
   Emitted out
 
-let run_pipeline_tree t ~source ~id ~arrival ~entry_done bits =
-  let env = t.env and ctx = t.ctx in
-  let program = t.pipeline.Pipeline.program in
-  Env.reset env;
-  Env.set_std env Ast.Ingress_port
-    (Value.of_int ~width:9 (match source with External p -> p | Generator -> generator_port));
-  t.cur_id := id;
-  t.cur_entry := entry_done;
-  try
-    let ps = t.ss_parser in
-    Counter.incr ps.ss_seen;
-    if !(t.faults_active) then fault_drop ps;
-    let outcome = Parse.run ~hooks:t.pipeline.Pipeline.parse_hooks ctx bits in
-    (match !(t.taps) with Some tp -> tp.tp_parse outcome | None -> ());
-    Trace.record t.trace ~packet_id:id
-      ~time_ns:(entry_done +. ps.ss_enter_ns)
-      ~component:ps.ss_name
-      (if outcome.Parse.accepted then "accept" else "reject");
-    if !(t.cur_sampled) then begin
-      let t0 = entry_done +. ps.ss_enter_ns in
-      span_child t ~kind:ps.ss_span_kind ~name:ps.ss_name_id ~t0
-        ~t1:(t0 +. ps.ss_latency_ns) ~bytes:0
-        ~flags:(if outcome.Parse.accepted then 0 else Span.flag_drop)
-        ~note:(if outcome.Parse.accepted then t.note_accept else t.note_reject)
-    end;
-    if !(t.faults_active) then fault_corrupt env ps;
-    if not outcome.Parse.accepted then begin
-      Counter.incr t.c_drop_pipeline;
-      Dropped_pipeline ("parser:" ^ Stdmeta.error_name outcome.Parse.error)
-    end
-    else begin
-      Exec.set_phase ctx Exec.Ingress;
-      Exec.run_stmts ctx program.Ast.p_ingress;
-      if Env.dropped env then begin
-        Counter.incr t.c_drop_pipeline;
-        Dropped_pipeline "ingress"
-      end
-      else begin
-        let es = t.ss_egress in
-        Counter.incr es.ss_seen;
-        Trace.record t.trace ~packet_id:id
-          ~time_ns:(entry_done +. es.ss_enter_ns)
-          ~component:es.ss_name "enter";
-        if !(t.cur_sampled) then begin
-          let t0 = entry_done +. es.ss_enter_ns in
-          span_child t ~kind:es.ss_span_kind ~name:es.ss_name_id ~t0
-            ~t1:(t0 +. es.ss_latency_ns) ~bytes:0 ~flags:0 ~note:t.note_enter
-        end;
-        if !(t.faults_active) then fault_at env es;
-        Exec.set_phase ctx Exec.Egress;
-        Exec.run_stmts ctx program.Ast.p_egress;
-        if Env.dropped env then begin
-          Counter.incr t.c_drop_pipeline;
-          Dropped_pipeline "egress"
-        end
-        else begin
-          let ds = t.ss_deparser in
-          Counter.incr ds.ss_seen;
-          Trace.record t.trace ~packet_id:id
-            ~time_ns:(entry_done +. ds.ss_enter_ns)
-            ~component:ds.ss_name "emit";
-          if !(t.cur_sampled) then begin
-            let t0 = entry_done +. ds.ss_enter_ns in
-            span_child t ~kind:ds.ss_span_kind ~name:ds.ss_name_id ~t0
-              ~t1:(t0 +. ds.ss_latency_ns) ~bytes:0 ~flags:0 ~note:t.note_emit
-          end;
-          if !(t.faults_active) then fault_at env ds;
-          let out_bits =
-            Deparse.run ~update_ipv4_checksum:t.pipeline.Pipeline.update_ipv4_checksum env
-          in
-          let port = Value.to_int (Env.get_std env Ast.Egress_spec) in
-          emit t ~source ~arrival ~out_time:(entry_done +. t.latency_ns) ~port out_bits
-        end
-      end
-    end
-  with Lost stage ->
-    Counter.incr t.c_drop_fault;
-    Trace.record t.trace ~packet_id:id ~severity:Trace.Warn ~time_ns:entry_done
-      ~component:stage "fault-drop";
-    Lost_in_stage stage
+let drop_pipeline t reason =
+  Counter.incr t.c_drop_pipeline;
+  Dropped_pipeline reason
 
-(* Same traversal, metrics, trace records and fault points as the tree
-   path, but executing the pipeline's staged core. *)
-let run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits =
-  let si = d.sg in
+(* The pipeline walk: parser, ingress (whose table applies reach
+   [table_applied]), egress, deparser. *)
+let run_pipeline t ~source ~arrival ~entry_done bits =
+  let si = t.sg in
   Compilecore.reset si;
   Compilecore.set_ingress_port si
     (match source with External p -> p | Generator -> generator_port);
-  t.cur_id := id;
-  t.cur_entry := entry_done;
+  t.cur_entry <- entry_done;
   try
-    let ps = t.ss_parser in
-    Counter.incr ps.ss_seen;
-    if !(t.faults_active) then fault_drop ps;
     Compilecore.run_parser si bits;
     let accepted = Compilecore.parse_accepted si in
-    (match !(t.taps) with
-    | Some tp -> tp.tp_parse (Compilecore.parse_outcome si)
-    | None -> ());
-    Trace.record t.trace ~packet_id:id
-      ~time_ns:(entry_done +. ps.ss_enter_ns)
-      ~component:ps.ss_name
-      (if accepted then "accept" else "reject");
-    if !(t.cur_sampled) then begin
-      let t0 = entry_done +. ps.ss_enter_ns in
-      span_child t ~kind:ps.ss_span_kind ~name:ps.ss_name_id ~t0
-        ~t1:(t0 +. ps.ss_latency_ns) ~bytes:0
-        ~flags:(if accepted then 0 else Span.flag_drop)
-        ~note:(if accepted then t.note_accept else t.note_reject)
-    end;
-    if !(t.faults_active) then fault_corrupt_staged si ps;
-    if not accepted then begin
-      Counter.incr t.c_drop_pipeline;
-      Dropped_pipeline ("parser:" ^ Stdmeta.error_name (Compilecore.parse_error si))
-    end
+    (match t.taps with Some tp -> tp.tp_parse (Compilecore.parse_outcome si) | None -> ());
+    pass_stage t t.ss_parser
+      ~flags:(if accepted then 0 else Span.flag_drop)
+      ~note:(if accepted then t.note_accept else t.note_reject);
+    if not accepted then
+      drop_pipeline t ("parser:" ^ Stdmeta.error_name (Compilecore.parse_error si))
     else begin
       Compilecore.run_ingress si;
-      if Compilecore.dropped si then begin
-        Counter.incr t.c_drop_pipeline;
-        Dropped_pipeline "ingress"
-      end
+      if Compilecore.dropped si then drop_pipeline t "ingress"
       else begin
-        let es = t.ss_egress in
-        Counter.incr es.ss_seen;
-        Trace.record t.trace ~packet_id:id
-          ~time_ns:(entry_done +. es.ss_enter_ns)
-          ~component:es.ss_name "enter";
-        if !(t.cur_sampled) then begin
-          let t0 = entry_done +. es.ss_enter_ns in
-          span_child t ~kind:es.ss_span_kind ~name:es.ss_name_id ~t0
-            ~t1:(t0 +. es.ss_latency_ns) ~bytes:0 ~flags:0 ~note:t.note_enter
-        end;
-        if !(t.faults_active) then fault_at_staged si es;
+        pass_stage t t.ss_egress ~flags:0 ~note:t.note_enter;
         Compilecore.run_egress si;
-        if Compilecore.dropped si then begin
-          Counter.incr t.c_drop_pipeline;
-          Dropped_pipeline "egress"
-        end
+        if Compilecore.dropped si then drop_pipeline t "egress"
         else begin
-          let ds = t.ss_deparser in
-          Counter.incr ds.ss_seen;
-          Trace.record t.trace ~packet_id:id
-            ~time_ns:(entry_done +. ds.ss_enter_ns)
-            ~component:ds.ss_name "emit";
-          if !(t.cur_sampled) then begin
-            let t0 = entry_done +. ds.ss_enter_ns in
-            span_child t ~kind:ds.ss_span_kind ~name:ds.ss_name_id ~t0
-              ~t1:(t0 +. ds.ss_latency_ns) ~bytes:0 ~flags:0 ~note:t.note_emit
-          end;
-          if !(t.faults_active) then fault_at_staged si ds;
+          pass_stage t t.ss_deparser ~flags:0 ~note:t.note_emit;
           let out_bits = Compilecore.deparse si in
           let port = Compilecore.egress_port si in
           emit t ~source ~arrival ~out_time:(entry_done +. t.latency_ns) ~port out_bits
@@ -766,14 +553,7 @@ let run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits =
     end
   with Lost stage ->
     Counter.incr t.c_drop_fault;
-    Trace.record t.trace ~packet_id:id ~severity:Trace.Warn ~time_ns:entry_done
-      ~component:stage "fault-drop";
     Lost_in_stage stage
-
-let run_pipeline t ~source ~id ~arrival ~entry_done bits =
-  match t.staged with
-  | Some d -> run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits
-  | None -> run_pipeline_tree t ~source ~id ~arrival ~entry_done bits
 
 let inject t ~source ?at_ns bits =
   let arrival =
@@ -785,29 +565,25 @@ let inject t ~source ?at_ns bits =
   t.now <- arrival;
   let id = t.next_id in
   t.next_id <- id + 1;
-  t.cur_id := id;
+  t.cur_id <- id;
   let sampled = Span.sample t.spanstore in
-  t.cur_sampled := sampled;
-  if sampled then t.cur_root := Span.next_id t.spanstore;
+  t.cur_sampled <- sampled;
+  if sampled then t.cur_root <- Span.next_id t.spanstore;
   let bytes = (Bitstring.length bits + 7) / 8 in
   (match source with
   | External _ -> Counter.incr t.c_rx_external
   | Generator -> Counter.incr t.c_rx_generator);
-  Trace.record t.trace ~packet_id:id ~time_ns:arrival ~component:"rx"
-    (match source with External _ -> "external" | Generator -> "generator");
   ignore (Ringq.drop_leq t.rx_q arrival);
   if Ringq.is_full t.rx_q then begin
     Counter.incr t.c_drop_queue;
-    Trace.record t.trace ~packet_id:id ~severity:Trace.Warn ~time_ns:arrival ~component:"rxq"
-      "tail-drop";
     if sampled then begin
       span_child t ~kind:Span.Rx_queue ~name:t.n_rx_queue ~t0:arrival ~t1:arrival ~bytes:0
         ~flags:Span.flag_drop ~note:t.note_tail_drop;
-      Span.record t.spanstore ~id:!(t.cur_root) ~parent:Span.no_parent ~packet:id
+      Span.record t.spanstore ~id:t.cur_root ~parent:Span.no_parent ~packet:id
         ~kind:Span.Packet ~name:t.n_packet ~t0:arrival ~t1:arrival ~bytes
         ~flags:Span.flag_drop ~note:t.note_tail_drop
     end;
-    (match !(t.taps) with Some tp -> tp.tp_disposition Dropped_queue | None -> ());
+    (match t.taps with Some tp -> tp.tp_disposition Dropped_queue | None -> ());
     (id, Dropped_queue)
   end
   else begin
@@ -823,8 +599,8 @@ let inject t ~source ?at_ns bits =
         ~flags:0 ~note:Span.no_note;
     (* pipeline drops end the packet at pipeline exit; [emit] pushes this
        out to the wire timestamp when the packet reaches one *)
-    t.cur_end := entry_done +. t.latency_ns;
-    let disposition = run_pipeline t ~source ~id ~arrival ~entry_done bits in
+    t.cur_end <- entry_done +. t.latency_ns;
+    let disposition = run_pipeline t ~source ~arrival ~entry_done bits in
     if sampled then begin
       let flags, note =
         match disposition with
@@ -834,10 +610,10 @@ let inject t ~source ?at_ns bits =
             (Span.flag_drop lor Span.flag_fault, Span.intern t.spanstore stage)
         | Dropped_queue -> assert false
       in
-      Span.record t.spanstore ~id:!(t.cur_root) ~parent:Span.no_parent ~packet:id
-        ~kind:Span.Packet ~name:t.n_packet ~t0:arrival ~t1:!(t.cur_end) ~bytes ~flags ~note
+      Span.record t.spanstore ~id:t.cur_root ~parent:Span.no_parent ~packet:id
+        ~kind:Span.Packet ~name:t.n_packet ~t0:arrival ~t1:t.cur_end ~bytes ~flags ~note
     end;
-    (match !(t.taps) with Some tp -> tp.tp_disposition disposition | None -> ());
+    (match t.taps with Some tp -> tp.tp_disposition disposition | None -> ());
     (id, disposition)
   end
 

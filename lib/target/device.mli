@@ -1,5 +1,7 @@
 (** An instantiated {!Pipeline}: runtime table state, persistent registers,
-    interface queues, counters, a bounded event trace, and a virtual clock.
+    interface queues, counters, per-packet spans, and a virtual clock.
+    Packets run through the pipeline's program staged to closures
+    ({!P4ir.Compilecore}), quirk hooks baked in.
 
     The clock is event-driven — there is no per-cycle ticking anywhere.
     Each packet's pipeline-exit time is computed analytically at injection:
@@ -47,14 +49,8 @@ type status = {
 
 type t
 
-val create : ?engine:P4ir.Compilecore.engine -> ?update_clock:(unit -> int64) -> Pipeline.t -> t
-(** [engine] selects the executor for the pipeline traversal (default
-    {!P4ir.Compilecore.default_engine}): [`Staged] runs the pipeline's
-    compiled closure core (quirk hooks baked in, table matchers
-    specialized), [`Tree] walks the AST as before. Timing, metrics,
-    traces, spans, taps and fault injection behave identically in both.
-
-    Every table exports a [table/<name>/entries] gauge and a
+val create : ?update_clock:(unit -> int64) -> Pipeline.t -> t
+(** Every table exports a [table/<name>/entries] gauge and a
     [table/<name>/update_ns] histogram of control-plane update latency.
     [update_clock] supplies the nanosecond timestamps for the latter
     (e.g. a monotonic wall clock); without it updates are still counted
@@ -92,12 +88,11 @@ val set_span_sampling : t -> int -> unit
     1-in-64; the first packet after a change is always sampled). [n <= 0]
     disables spans entirely. Metrics are unaffected. *)
 
-val trace : t -> Trace.t
-
 val now_ns : t -> float
 
 val inject : t -> source:source -> ?at_ns:float -> Bitutil.Bitstring.t -> int * disposition
-(** Run one packet through the device; returns its trace id and fate.
+(** Run one packet through the device; returns its packet id (the
+    [packet] of its spans) and fate.
     [at_ns] below the current clock is clamped to it; when omitted the
     packet arrives back-to-back, i.e. the moment the pipeline can accept
     it (the clock advances, nothing queues). *)
@@ -120,7 +115,7 @@ val inject_batch :
     [reset_registers] (default false) zeroes the persistent register
     state before each packet, giving every vector the isolated-state
     semantics of a fresh device at batch speed. Results land at their
-    input index. Check taps, coverage taps, counters and traces fire
+    input index. Check taps, coverage taps, counters and spans fire
     exactly as they do for packet-at-a-time injection. *)
 
 val quiesce : t -> unit

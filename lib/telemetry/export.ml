@@ -168,3 +168,27 @@ let prometheus registry =
             (Printf.sprintf "%s_max %.6g\n" n (Stats.Histogram.max_value h)))
     (Registry.snapshot registry);
   Buffer.contents b
+
+let rec mkdir_p dir =
+  if Sys.file_exists dir then
+    if Sys.is_directory dir then Ok () else Error (dir ^ ": not a directory")
+  else
+    let parent = Filename.dirname dir in
+    match if parent = dir then Ok () else mkdir_p parent with
+    | Error _ as e -> e
+    | Ok () -> (
+        try Ok (Sys.mkdir dir 0o755)
+        with Sys_error msg ->
+          (* lost a race with another creator: fine if it made a directory *)
+          if Sys.file_exists dir && Sys.is_directory dir then Ok () else Error msg)
+
+let write_files ~dir files =
+  (match mkdir_p dir with Ok () -> () | Error msg -> raise (Sys_error msg));
+  List.map
+    (fun (name, contents) ->
+      let path = Filename.concat dir name in
+      let oc = open_out path in
+      output_string oc contents;
+      close_out oc;
+      path)
+    files

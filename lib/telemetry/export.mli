@@ -1,6 +1,7 @@
 (** Exporters: render the span store and metrics registry into standard
-    observability formats. All functions are pure renderers over current
-    contents — callers decide where the bytes go. *)
+    observability formats. The renderers are pure over current contents —
+    callers decide where the bytes go; {!write_files} puts them in an
+    artifact directory. *)
 
 val chrome_trace : Span.t -> string
 (** Chrome [trace_event] JSON ({"traceEvents": [...]}) loadable in
@@ -23,3 +24,13 @@ val prometheus : Registry.t -> string
     [_sum]/[_count]/[_min]/[_max]). *)
 
 val json_escape : string -> string
+
+val mkdir_p : string -> (unit, string) result
+(** Create a directory and any missing parents, like [mkdir -p]; an
+    existing directory is fine. [Error] says why it cannot be made, e.g.
+    a path component that is a regular file. *)
+
+val write_files : dir:string -> (string * string) list -> string list
+(** [write_files ~dir [(name, contents); ...]] writes each file into
+    [dir], created with {!mkdir_p} first, and returns the paths written.
+    @raise Sys_error when [dir] cannot be created or a file written. *)

@@ -168,6 +168,25 @@ let test_harness_self_check () =
   | Ok facts -> check_bool "several facts" true (List.length facts >= 3)
   | Error e -> Alcotest.fail e
 
+(* the artifact directory is created with its missing parents; a path
+   through a regular file is an error, not an exception *)
+let test_export_artifacts_nested_dir () =
+  let root = Filename.temp_file "netdebug_artifacts" "" in
+  Sys.remove root;
+  let parent = Filename.concat root "a" in
+  let dir = Filename.concat parent "b" in
+  let h = Harness.deploy Programs.basic_router in
+  let paths = Harness.export_artifacts h ~dir in
+  Alcotest.(check (list string))
+    "three files"
+    (List.map (Filename.concat dir) [ "trace.json"; "spans.jsonl"; "metrics.prom" ])
+    paths;
+  List.iter (fun p -> check_bool (p ^ " written") true (Sys.file_exists p)) paths;
+  check_bool "a path under a regular file is refused" true
+    (Result.is_error (Telemetry.Export.mkdir_p (Filename.concat (List.hd paths) "c")));
+  List.iter Sys.remove paths;
+  List.iter Sys.rmdir [ dir; parent; root ]
+
 let test_generator_injects_through_pipeline () =
   let h = Harness.deploy Programs.basic_router in
   let probe = P.serialize (P.udp_ipv4 ~dst:0x0A000005L ()) in
@@ -670,6 +689,8 @@ let () =
       ( "harness",
         [
           Alcotest.test_case "self check (Figure 1)" `Quick test_harness_self_check;
+          Alcotest.test_case "artifacts into a nested directory" `Quick
+            test_export_artifacts_nested_dir;
           Alcotest.test_case "generator through pipeline" `Quick
             test_generator_injects_through_pipeline;
           Alcotest.test_case "sweep mutation" `Quick test_generator_sweep_mutation;

@@ -15,6 +15,7 @@ module Resource = Target.Resource
 module Quirks = Sdnet.Quirks
 module Compile = Sdnet.Compile
 module Counter = Stats.Counter
+module Span = Telemetry.Span
 
 let check_int = Alcotest.(check int)
 let check_i64 = Alcotest.(check int64)
@@ -341,7 +342,7 @@ let test_generator_source_bypasses_interfaces () =
     (Counter.Set.get (Device.counters d) "rx/generator");
   check_i64 "no external rx" 0L (Counter.Set.get (Device.counters d) "rx/external")
 
-(* ---------------- stage counters and trace ---------------- *)
+(* ---------------- stage counters and spans ---------------- *)
 
 let test_stage_counters () =
   let d = build Programs.basic_router in
@@ -356,12 +357,19 @@ let test_stage_counters () =
 
 let test_per_packet_trace () =
   let d = build Programs.basic_router in
+  Device.set_span_sampling d 1;
   let id, _ = Device.inject d ~source:(Device.External 0) (udp 0x0A000001L) in
-  let events = Trace.events_for_packet (Device.trace d) id in
-  let components = List.map (fun e -> e.Trace.component) events in
-  check_bool "rx traced" true (List.mem "rx" components);
-  check_bool "parser traced" true (List.mem "parser" components);
-  check_bool "lpm traced" true (List.mem "ma:ipv4_lpm" components)
+  let spans = Span.spans_for_packet (Device.spans d) id in
+  let note name =
+    match List.find_opt (fun sp -> String.equal sp.Span.sp_name name) spans with
+    | Some sp -> Option.value sp.Span.sp_note ~default:""
+    | None -> Alcotest.failf "no %s span" name
+  in
+  Alcotest.(check string) "rx_queue spanned" "" (note "rx_queue");
+  Alcotest.(check string) "parse accepted" "accept" (note "parse");
+  Alcotest.(check string) "lpm stage names its action" "set_nexthop"
+    (note "stage[1]:ma:ipv4_lpm");
+  Alcotest.(check string) "deparse spanned" "emit" (note "deparse")
 
 (* ---------------- fault injection ---------------- *)
 
@@ -411,6 +419,72 @@ let test_fault_intermittent_drop () =
   match snd (Device.inject d ~source:(Device.External 0) (udp 0x0A000001L)) with
   | Device.Emitted _ -> ()
   | _ -> Alcotest.fail "healthy after clearing the fault"
+
+(* Each fault point of the pipeline walk — parser, match-action stage,
+   egress, deparser — on a routed probe, a missing route and an ARP request
+   the faithful parser rejects; clearing the faults restores the healthy
+   fates. *)
+let test_fault_points () =
+  let routed = udp 0x0A000005L and unrouted = udp 0x08080808L in
+  let arp = P.serialize (P.arp_request ()) in
+  let fate = function
+    | Device.Emitted o -> (
+        match P.find_ipv4 (P.parse o.Device.o_bits) with
+        | Some ip -> Printf.sprintf "port %d dst %08Lx" o.Device.o_port ip.Ipv4.dst
+        | None -> Printf.sprintf "port %d" o.Device.o_port)
+    | Device.Dropped_pipeline r -> "drop " ^ r
+    | Device.Dropped_queue -> "queue"
+    | Device.Lost_in_stage s -> "lost " ^ s
+  in
+  let healthy = [ "port 1 dst 0a000005"; "drop ingress"; "drop parser:Reject" ] in
+  List.iter
+    (fun (stage, fault, pkts, expected) ->
+      let d = build Programs.basic_router in
+      Device.inject_fault d ~stage fault;
+      let what = Printf.sprintf "%s@%s" (Format.asprintf "%a" Fault.pp fault) stage in
+      Alcotest.(check (list string))
+        what expected
+        (List.map (fun p -> fate (snd (Device.inject d ~source:(Device.External 0) p))) pkts);
+      Device.clear_faults d;
+      Alcotest.(check (list string))
+        (what ^ " cleared") healthy
+        (List.map
+           (fun p -> fate (snd (Device.inject d ~source:(Device.External 0) p)))
+           [ routed; unrouted; arp ]))
+    [
+      ("ma:ipv4_lpm", Fault.Stuck_miss, [ routed; unrouted ], [ "drop ingress"; "drop ingress" ]);
+      ( "ma:ipv4_lpm",
+        Fault.Corrupt_field ("ipv4", "dst", 0x00FF0000L),
+        [ routed; arp ],
+        [ "port 1 dst 0aff0005"; "drop parser:Reject" ] );
+      ("egress", Fault.Drop_at_stage, [ routed; unrouted ], [ "lost egress"; "drop ingress" ]);
+      ( "deparser",
+        Fault.Intermittent_drop 3,
+        [ routed; routed; routed; routed ],
+        [ "port 1 dst 0a000005"; "port 1 dst 0a000005"; "lost deparser"; "port 1 dst 0a000005" ] );
+      ( "parser",
+        Fault.Intermittent_drop 2,
+        [ routed; arp; arp; routed ],
+        [ "port 1 dst 0a000005"; "lost parser"; "drop parser:Reject"; "lost parser" ] );
+    ];
+  (* a packet the parser's fault swallows is counted and spanned at the
+     parser before it is lost, like a packet lost at any later stage *)
+  let d = build Programs.basic_router in
+  Device.set_span_sampling d 1;
+  Device.inject_fault d ~stage:"parser" Fault.Drop_at_stage;
+  let id, disposition = Device.inject d ~source:(Device.External 0) routed in
+  Alcotest.(check string) "parser fault" "lost parser" (fate disposition);
+  check_i64 "parser counted the lost packet" 1L
+    (Counter.Set.get (Device.counters d) "stage/parser/seen");
+  let spans = Span.spans_for_packet (Device.spans d) id in
+  let find name = List.find_opt (fun sp -> String.equal sp.Span.sp_name name) spans in
+  check_bool "lost packet has a parse span" true (Option.is_some (find "parse"));
+  match find "packet" with
+  | Some root ->
+      check_bool "packet root carries the fault flag" true root.Span.sp_fault;
+      Alcotest.(check (option string)) "packet root names the stage" (Some "parser")
+        root.Span.sp_note
+  | None -> Alcotest.fail "no packet span"
 
 let test_fault_unknown_stage_rejected () =
   let d = build Programs.basic_router in
@@ -498,6 +572,7 @@ let () =
           Alcotest.test_case "corrupt field" `Quick test_fault_corrupt_field;
           Alcotest.test_case "stuck miss" `Quick test_fault_stuck_miss;
           Alcotest.test_case "intermittent drop" `Quick test_fault_intermittent_drop;
+          Alcotest.test_case "fault point per stage" `Quick test_fault_points;
           Alcotest.test_case "unknown stage rejected" `Quick test_fault_unknown_stage_rejected;
         ] );
       ("status", [ Alcotest.test_case "snapshot" `Quick test_status_snapshot ]);
