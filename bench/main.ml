@@ -7,9 +7,12 @@
      dune exec bench/main.exe -- micro --json FILE   — also write microbench
                                                        results as JSON
      dune exec bench/main.exe -- micro --check-overhead
-                                                     — fail if full span
-                                                       sampling (B11) costs
-                                                       >10% over B14
+                                                     — exit 1 if a micro
+                                                       gate trips: ratio
+                                                       gates read best-of-
+                                                       rounds, absolute
+                                                       gates best or mean
+                                                       (see microbench.ml)
 *)
 
 let () =

@@ -242,7 +242,13 @@ let rec encode_expr b (e : Ast.expr) =
       put_u8 b 10;
       put_string b h
 
-let rec decode_expr s pos : Ast.expr =
+let max_expr_depth = 1024
+
+(* [depth] bounds the recursion, so a hostile nesting is a [Decode_error]
+   rather than a stack overflow *)
+let rec decode_expr_at depth s pos : Ast.expr =
+  if depth > max_expr_depth then raise (Decode_error "expression nested too deeply");
+  let d = depth + 1 in
   match get_u8 s pos with
   | 0 -> Ast.Const (get_value s pos)
   | 1 ->
@@ -254,21 +260,23 @@ let rec decode_expr s pos : Ast.expr =
   | 4 -> Ast.Param (get_string s pos)
   | 5 ->
       let op = binop_of_tag (get_u8 s pos) in
-      let x = decode_expr s pos in
-      let y = decode_expr s pos in
+      let x = decode_expr_at d s pos in
+      let y = decode_expr_at d s pos in
       Ast.Bin (op, x, y)
-  | 6 -> Ast.Un (Ast.BNot, decode_expr s pos)
-  | 7 -> Ast.Un (Ast.LNot, decode_expr s pos)
+  | 6 -> Ast.Un (Ast.BNot, decode_expr_at d s pos)
+  | 7 -> Ast.Un (Ast.LNot, decode_expr_at d s pos)
   | 8 ->
       let msb = get_u8 s pos in
       let lsb = get_u8 s pos in
-      Ast.Slice (decode_expr s pos, msb, lsb)
+      Ast.Slice (decode_expr_at d s pos, msb, lsb)
   | 9 ->
-      let x = decode_expr s pos in
-      let y = decode_expr s pos in
+      let x = decode_expr_at d s pos in
+      let y = decode_expr_at d s pos in
       Ast.Concat (x, y)
   | 10 -> Ast.Valid (get_string s pos)
   | t -> raise (Decode_error (Printf.sprintf "bad expr tag %d" t))
+
+let decode_expr s pos = decode_expr_at 1 s pos
 
 (* ---------------- message bodies ---------------- *)
 

@@ -82,6 +82,11 @@ val decode_host : string -> (host_msg, string) result
 val encode_dev : dev_msg -> string
 val decode_dev : string -> (dev_msg, string) result
 
+val max_expr_depth : int
+(** Deepest expression the decoders accept, counting a leaf as depth 1;
+    a deeper one is an [Error], so outside input cannot overflow the
+    stack. *)
+
 (* Exposed for tests *)
 val encode_expr : Buffer.t -> P4ir.Ast.expr -> unit
 val decode_expr : string -> int ref -> P4ir.Ast.expr

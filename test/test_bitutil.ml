@@ -3,7 +3,6 @@
 module Bitstring = Bitutil.Bitstring
 module Prng = Bitutil.Prng
 module Checksum = Bitutil.Checksum
-module Crc32 = Bitutil.Crc32
 
 let check_i64 = Alcotest.(check int64)
 let check_int = Alcotest.(check int)
@@ -244,17 +243,6 @@ let prop_checksum_detects_single_flip =
       in
       aliased || not (Checksum.valid corrupted))
 
-(* ---------------- Crc32 ---------------- *)
-
-let test_crc32_vector () =
-  (* the canonical check value for "123456789" *)
-  Alcotest.(check int32) "check vector" 0xCBF43926l (Crc32.digest "123456789")
-
-let test_crc32_empty () = Alcotest.(check int32) "empty" 0l (Crc32.digest "")
-
-let test_crc32_sensitivity () =
-  check_bool "one bit matters" false (Crc32.digest "hello" = Crc32.digest "hellp")
-
 (* ---------------- Hexdump ---------------- *)
 
 let test_hexdump_shape () =
@@ -364,12 +352,6 @@ let () =
           Alcotest.test_case "rfc1071 example" `Quick test_checksum_rfc_example;
           Alcotest.test_case "self-verifies" `Quick test_checksum_verifies_itself;
           Alcotest.test_case "odd length" `Quick test_checksum_odd_length;
-        ] );
-      ( "crc32",
-        [
-          Alcotest.test_case "check vector" `Quick test_crc32_vector;
-          Alcotest.test_case "empty" `Quick test_crc32_empty;
-          Alcotest.test_case "sensitivity" `Quick test_crc32_sensitivity;
         ] );
       ("hexdump", [ Alcotest.test_case "shape" `Quick test_hexdump_shape ]);
       ("properties", qsuite);

@@ -127,6 +127,22 @@ let test_wire_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted trailing bytes"
 
+(* a rule nested one level past the decoder's bound is an [Error], not a
+   [Stack_overflow]; one at the bound still decodes *)
+let test_wire_expr_depth_bound () =
+  let rec nest n e = if n = 0 then e else nest (n - 1) (Ast.Un (Ast.LNot, e)) in
+  let msg depth =
+    Wire.Configure_checker
+      [ { Wire.r_name = "deep"; r_filter = None; r_expect = nest (depth - 1) (Ast.Valid "eth") } ]
+  in
+  let at_bound = msg Wire.max_expr_depth in
+  (match Wire.decode_host (Wire.encode_host at_bound) with
+  | Ok m -> check_bool "decodes at the bound" true (m = at_bound)
+  | Error e -> Alcotest.fail e);
+  match Wire.decode_host (Wire.encode_host (msg (Wire.max_expr_depth + 1))) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted an expression past the depth bound"
+
 let prop_wire_stream_roundtrip =
   QCheck.Test.make ~count:200 ~name:"generator config wire roundtrip"
     QCheck.(triple (int_bound 1000) (int_bound 500) (list_of_size (QCheck.Gen.int_range 0 5) (pair small_string (int_bound 1000))))
@@ -683,6 +699,7 @@ let () =
           Alcotest.test_case "host roundtrip" `Quick test_wire_host_roundtrip;
           Alcotest.test_case "dev roundtrip" `Quick test_wire_dev_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
+          Alcotest.test_case "expr depth bound" `Quick test_wire_expr_depth_bound;
           QCheck_alcotest.to_alcotest prop_wire_stream_roundtrip;
         ] );
       ("channel", [ Alcotest.test_case "fifo" `Quick test_channel_fifo ]);
