@@ -280,7 +280,8 @@ let other_rows () =
         | Ok _ -> ()
         | Error e -> failwith e);
     device_row "netdebug/B11b device: forward one packet, spans 1/64" forward;
-    (* one differential-oracle execution over the management protocol *)
+    (* one differential-oracle execution outside a batch window: the
+       generator's raw shot in a one-element window, quiesce included *)
     row "netdebug/B12 fuzz: one differential-oracle execution" 8 (fun () ->
         ignore (Fuzz.Oracle.execute oracle routed_probe));
   ]

@@ -12,9 +12,9 @@
     (8 shards) over a round-robin interleaving of the budget, with their
     own PRNG streams (split off the seed in shard order) and their own
     deployed oracle each. Every shard window runs inside one oracle
-    batch window ({!Oracle.with_batch}), so the hot loop pays one
-    quiesce and zero management-protocol round trips per window instead
-    of per execution.
+    batch window ({!Oracle.with_batch}), so the hot loop's executions —
+    one in-device generator shot each — share one device quiesce per
+    window.
 
     Two scheduling engines share that hot loop (DESIGN.md §15):
 

@@ -1,16 +1,11 @@
-module Ast = P4ir.Ast
-module Value = P4ir.Value
 module Interp = P4ir.Interp
 module Regstate = P4ir.Regstate
 module Programs = P4ir.Programs
 module Quirks = Sdnet.Quirks
 module Device = Target.Device
 module Harness = Netdebug.Harness
-module Controller = Netdebug.Controller
 module Agent = Netdebug.Agent
 module Generator = Netdebug.Generator
-module Checker = Netdebug.Checker
-module Wire = Netdebug.Wire
 module Bitstring = Bitutil.Bitstring
 module Counter = Stats.Counter
 module Registry = Telemetry.Registry
@@ -38,24 +33,15 @@ type t = {
   bundle : Programs.bundle;
   coverage : Coverage.t;
   mutable executions : int;
-  mutable in_batch : bool;  (* inside a batch window: direct device path *)
+  mutable in_batch : bool;
   c_execs : Counter.t;
   c_divergences : Counter.t;
 }
-
-let ok = function Ok v -> v | Error e -> invalid_arg ("Fuzz.Oracle: " ^ e)
-
-(* A checker rule that fails on every packet reaching the check point:
-   each emission lands in the capture ring with its port and bytes, so the
-   existing generator/checker loop doubles as the device-side observer. *)
-let mirror_rule =
-  { Wire.r_name = "fuzz-mirror"; r_filter = None; r_expect = Ast.Const Value.fls }
 
 let create ?(quirks = Quirks.default) bundle =
   let harness = Harness.deploy ~quirks ~span_sampling:0 bundle in
   let coverage = Coverage.create () in
   Coverage.attach_device coverage harness.Harness.device;
-  ok (Controller.configure_checker harness.Harness.controller [ mirror_rule ]);
   let metrics = Device.metrics harness.Harness.device in
   Registry.gauge metrics ~help:"distinct coverage-map edges hit" "fuzz/edges" (fun () ->
       float_of_int (Coverage.edges coverage));
@@ -95,9 +81,8 @@ let diverge kind spec dev =
     { d_kind = kind; d_spec; d_dev;
       d_fingerprint = kind_name kind ^ "|spec=" ^ d_spec ^ "|dev=" ^ d_dev }
 
-(* spec side, shared by both device paths: the reference interpreter over
-   the same installed entries, pure single-packet semantics (fresh
-   registers) *)
+(* spec side: the reference interpreter over the same installed entries,
+   pure single-packet semantics (fresh registers) *)
 let spec_side t input =
   t.executions <- t.executions + 1;
   Counter.incr t.c_execs;
@@ -124,39 +109,16 @@ let judge t (obs : Interp.observation) dev =
   if divergence <> None then Counter.incr t.c_divergences;
   { x_spec = obs.Interp.result; x_dev = dev; x_divergence = divergence }
 
-let execute_rpc t input =
-  let obs = spec_side t input in
-  let device = t.harness.Harness.device in
-  (* device side: reset persistent state so every execution is independent
-     and minimization replays faithfully, then one generator shot observed
-     by the mirror rule at the check point *)
-  Regstate.reset (Device.registers device);
-  let ctl = t.harness.Harness.controller in
-  ok (Controller.clear_test_state ctl);
-  ok (Controller.configure_generator ctl [ Controller.stream input ]);
-  ok (Controller.start_generator ctl);
-  let summary = ok (Controller.read_checker ctl) in
-  let dev =
-    match summary.Wire.cs_captures with
-    | cap :: _ -> Dev_forwarded (cap.Wire.cap_port, cap.Wire.cap_bits)
-    | [] -> Dev_dropped
-  in
-  judge t obs dev
-
-(* The batched hot path: same spec side, same register reset, same
-   generator-rendered wire bytes — but the shot is injected directly and
-   judged from the disposition the device hands back, skipping the four
-   management-protocol RPCs, the per-emission mirror-rule evaluation and
-   the per-execution quiesce ([end_batch] quiesces once for the whole
-   window). Verdicts, fuzz counters and coverage are observably identical
-   to [execute_rpc] — regression-tested in test_fuzz. *)
-let execute_fast t input =
+(* One differential execution: the spec side, then the generator's raw
+   shot from zeroed device registers — so every execution is independent
+   and minimization replays faithfully — judged from the disposition the
+   device hands back. Runs inside a batch window, which owns the quiesce. *)
+let shot t input =
   let obs = spec_side t input in
   let device = t.harness.Harness.device in
   Regstate.reset (Device.registers device);
-  let gen = Agent.generator t.harness.Harness.agent in
   let dev =
-    match Generator.send_raw gen input with
+    match Generator.send_raw (Agent.generator t.harness.Harness.agent) input with
     | Device.Emitted o -> Dev_forwarded (o.Device.o_port, o.Device.o_bits)
     | Device.Dropped_pipeline _ | Device.Dropped_queue | Device.Lost_in_stage _ ->
         Dev_dropped
@@ -165,34 +127,22 @@ let execute_fast t input =
   ignore (Device.outputs device);
   judge t obs dev
 
-let execute t input = if t.in_batch then execute_fast t input else execute_rpc t input
-
-let begin_batch t =
-  if not t.in_batch then begin
-    t.in_batch <- true;
-    (* disarm the mirror rule: inside the window every emission is judged
-       from the inject disposition directly, so rule evaluation at the
-       check point would be pure overhead *)
-    Checker.configure (Agent.checker t.harness.Harness.agent) []
-  end
-
-let end_batch t =
-  if t.in_batch then begin
-    t.in_batch <- false;
-    let device = t.harness.Harness.device in
-    Device.quiesce device;
-    ignore (Device.outputs device);
-    Checker.configure (Agent.checker t.harness.Harness.agent) [ mirror_rule ]
-  end
-
 let with_batch t f =
   if t.in_batch then f ()
   else begin
-    begin_batch t;
-    Fun.protect ~finally:(fun () -> end_batch t) f
+    t.in_batch <- true;
+    Fun.protect
+      ~finally:(fun () ->
+        t.in_batch <- false;
+        Device.quiesce t.harness.Harness.device)
+      f
   end
 
-let exec_batch t inputs = with_batch t (fun () -> Array.map (execute t) inputs)
+let exec_batch t inputs = with_batch t (fun () -> Array.map (shot t) inputs)
+
+(* inside a window, the bare shot: the campaign's hot loop pays no
+   per-execution window *)
+let execute t input = if t.in_batch then shot t input else (exec_batch t [| input |]).(0)
 
 (* Attribute a reproducer to quirks by delta-debugging the quirk set: a
    quirk is culpable iff removing just it makes the divergence vanish.

@@ -2,12 +2,12 @@
     architecture.
 
     The specification side is {!P4ir.Interp} over the deployed program and
-    entries; the device side is the sdnet-compiled pipeline driven through
-    the real NetDebug generator/checker loop (stream injection after the
-    input interfaces, a mirror rule capturing every emission at the check
-    point). Any difference in observable behaviour — forward vs drop,
-    egress port, payload bytes — is a divergence with a stable fingerprint
-    for deduplication. Both sides feed one {!Coverage} map. *)
+    entries; the device side is the sdnet-compiled pipeline fed by the
+    real NetDebug generator at its injection point (after the input
+    interfaces) and judged from the disposition the device hands back.
+    Any difference in observable behaviour — forward vs drop, egress
+    port, payload bytes — is a divergence with a stable fingerprint for
+    deduplication. Both sides feed one {!Coverage} map. *)
 
 type dev_result = Dev_forwarded of int * Bitutil.Bitstring.t | Dev_dropped
 
@@ -33,35 +33,28 @@ type t
 
 val create : ?quirks:Sdnet.Quirks.t -> P4ir.Programs.bundle -> t
 (** Deploy the bundle under [quirks] (default {!Sdnet.Quirks.default},
-    i.e. the shipped toolchain) with spans off, attach coverage taps and
-    the mirror rule. Registers ["fuzz/executions"], ["fuzz/divergences"]
-    and the ["fuzz/edges"] gauge on the device's metrics registry. *)
+    i.e. the shipped toolchain) with spans off and attach coverage taps.
+    Registers ["fuzz/executions"], ["fuzz/divergences"] and the
+    ["fuzz/edges"] gauge on the device's metrics registry. *)
 
 val execute : t -> Bitutil.Bitstring.t -> exec
-(** One differential execution. Device registers are reset first so
-    executions are independent and reproducers replay faithfully.
-
-    Outside a batch window the device side runs the full management
-    protocol (stream configuration, generator start, checker read-back
-    through the wire codec) with a quiesce per execution. Inside
-    {!with_batch}/{!exec_batch} it takes the batched hot path: the same
-    generator-rendered bytes injected directly and judged from the
-    device's disposition, one quiesce per window — observably identical
-    verdicts, counters and coverage at a fraction of the cost. *)
+(** One differential execution: [exec_batch t [| x |]]. Device registers
+    are reset first so executions are independent and reproducers replay
+    faithfully; the device side is the generator's raw shot
+    ({!Netdebug.Generator.send_raw}), judged from the device's
+    disposition. Inside a {!with_batch} window it shares the window's
+    quiesce; outside one it runs in a one-element window of its own. *)
 
 val with_batch : t -> (unit -> 'a) -> 'a
-(** [with_batch t f] opens a batch window around [f]: the mirror rule is
-    disarmed, every {!execute} inside takes the direct device path, and
-    on exit (exceptional or not) the device is quiesced once, the
-    emission ring drained and the mirror rule re-armed. Nested windows
-    collapse into the outermost one. *)
+(** [with_batch t f] opens a batch window around [f]: every {!execute}
+    inside skips the per-execution quiesce, and on exit (exceptional or
+    not) the device is quiesced once. Nested windows collapse into the
+    outermost one. *)
 
 val exec_batch : t -> Bitutil.Bitstring.t array -> exec array
 (** [exec_batch t inputs] drives the whole vector batch through one
-    batch window — one quiesce and telemetry flush for the batch instead
-    of one per execution. Results land at their input index.
-    [exec_batch t [| x |]] is observably identical to [execute t x]
-    (verdicts, counters, coverage). *)
+    batch window — one quiesce for the batch instead of one per
+    execution. Results land at their input index. *)
 
 val attribute : t -> Bitutil.Bitstring.t -> Sdnet.Quirks.quirk list
 (** Which active quirks this diverging input implicates: quirk [q] is

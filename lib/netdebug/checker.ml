@@ -140,10 +140,6 @@ let summary t =
     cs_captures = List.rev t.captures;
   }
 
-let latency t = t.lat
-
-let throughput t = t.rate
-
 let clear t =
   t.total_seen <- 0;
   t.captures <- [];

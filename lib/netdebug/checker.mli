@@ -36,13 +36,5 @@ val summary : t -> Wire.checker_summary
 (** Counters (seen/passed/failed per rule) plus the capture ring of
     failing packets — the payload of a [Read_checker] reply. *)
 
-val latency : t -> Stats.Histogram.t
-(** Per-packet data-plane latency (out - in virtual time) of every packet
-    seen at the check point. *)
-
-val throughput : t -> Stats.Rate.t
-(** Bit/packet rate over the virtual-time window the check point has
-    observed. *)
-
 val clear : t -> unit
 (** Reset statistics and captures, keep the rules. *)

@@ -1,41 +1,37 @@
 module Ast = P4ir.Ast
-module Value = P4ir.Value
-module Env = P4ir.Env
-module Exec = P4ir.Exec
-module Parse = P4ir.Parse
-module Deparse = P4ir.Deparse
+module Compilecore = P4ir.Compilecore
 module Device = Target.Device
-module Bitstring = Bitutil.Bitstring
 module Prng = Bitutil.Prng
-
-(* persistent render scratch: one env/ctx/builder reused across packets,
-   so a steady-state render allocates only the final wire copy *)
-type render_state = {
-  r_env : Env.t;
-  r_ctx : Exec.ctx;
-  r_builder : Bitstring.Builder.t;
-}
 
 type t = {
   program : Ast.program;
   device : Device.t;
   mutable streams : Wire.stream list;
-  mutable sent : int;
-  mutable dispositions : Device.disposition list;  (* newest first *)
-  mutable render : render_state option;  (* lazily allocated scratch *)
-  mutable raw : P4ir.Compilecore.inst option;  (* staged render, {!send_raw} *)
+  plain : Compilecore.inst Lazy.t;  (* no checksum refresh: {!send_raw}, clean streams *)
+  refresh : Compilecore.inst Lazy.t;  (* checksum refresh: mutated streams *)
   c_sent : Stats.Counter.t;  (* cumulative, in the device registry *)
 }
+
+(* generator-side parsing never drops: it is test infrastructure *)
+let gen_parse_hooks = { P4ir.Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 }
+
+(* The render core: parse and deparse compiled once per generator and
+   checksum setting (lazily: a generator that never sends pays no
+   compile), into reused scratch, so a render allocates only the final
+   wire copy. *)
+let staged program ~refresh =
+  lazy
+    (Compilecore.instantiate
+       (Compilecore.compile ~parse_hooks:gen_parse_hooks ~update_ipv4_checksum:refresh program)
+       ~runtime:(P4ir.Runtime.create ()))
 
 let create ~program device =
   {
     program;
     device;
     streams = [];
-    sent = 0;
-    dispositions = [];
-    render = None;
-    raw = None;
+    plain = staged program ~refresh:false;
+    refresh = staged program ~refresh:true;
     c_sent =
       Telemetry.Registry.counter (Device.metrics device)
         ~help:"test packets the internal generator injected" "generator/sent";
@@ -43,17 +39,7 @@ let create ~program device =
 
 let configure t streams = t.streams <- streams
 
-let packets_sent t = t.sent
-
-let last_dispositions t = List.rev t.dispositions
-
-let clear t =
-  t.streams <- [];
-  t.sent <- 0;
-  t.dispositions <- []
-
-(* generator-side parsing never drops: it is test infrastructure *)
-let gen_parse_hooks = { Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 }
+let clear t = t.streams <- []
 
 let mutation_targets_checksum muts =
   List.exists
@@ -64,84 +50,45 @@ let mutation_targets_checksum muts =
           String.equal h "ipv4" && String.equal f "checksum")
     muts
 
-let render_state t =
-  match t.render with
-  | Some rs -> rs
-  | None ->
-      let r_env = Env.create t.program in
-      let r_ctx = Exec.make_ctx ~env:r_env ~runtime:(P4ir.Runtime.create ()) () in
-      let rs = { r_env; r_ctx; r_builder = Bitstring.Builder.create ~capacity_bits:4096 () } in
-      t.render <- Some rs;
-      rs
-
 let render_packet t (stream : Wire.stream) prng index =
-  let rs = render_state t in
-  let env = rs.r_env in
-  Env.reset env;
-  ignore (Parse.run ~hooks:gen_parse_hooks rs.r_ctx stream.Wire.s_template);
-  List.iter
-    (fun m ->
-      match (m : Wire.mutation) with
-      | Wire.Set_field (h, f, v) ->
-          if Env.is_valid env h then
-            Env.set_field env h f (Value.make ~width:(Value.width (Env.get_field env h f)) v)
-      | Wire.Sweep_field (h, f, start, step) ->
-          if Env.is_valid env h then
-            let w = Value.width (Env.get_field env h f) in
-            let v = Int64.add start (Int64.mul step (Int64.of_int index)) in
-            Env.set_field env h f (Value.make ~width:w v)
-      | Wire.Random_field (h, f, _) ->
-          if Env.is_valid env h then
-            let w = Value.width (Env.get_field env h f) in
-            Env.set_field env h f (Value.make ~width:w (Prng.bits prng ~width:w)))
-    stream.Wire.s_mutations;
+  let muts = stream.Wire.s_mutations in
   (* refresh the checksum only when mutations dirtied the header; an
      unmutated template must hit the wire byte-identical (deliberately
      corrupted test packets included) *)
-  let update =
-    t.program.Ast.p_update_ipv4_checksum
-    && stream.Wire.s_mutations <> []
-    && not (mutation_targets_checksum stream.Wire.s_mutations)
+  let refresh =
+    t.program.Ast.p_update_ipv4_checksum && muts <> [] && not (mutation_targets_checksum muts)
   in
-  Deparse.run_into ~update_ipv4_checksum:update rs.r_builder env
+  let inst = Lazy.force (if refresh then t.refresh else t.plain) in
+  Compilecore.reset inst;
+  Compilecore.run_parser inst stream.Wire.s_template;
+  List.iter
+    (fun m ->
+      match (m : Wire.mutation) with
+      | Wire.Set_field (h, f, v) -> Compilecore.mutate_field inst h f (fun _ -> v)
+      | Wire.Sweep_field (h, f, start, step) ->
+          Compilecore.mutate_field inst h f (fun _ ->
+              Int64.add start (Int64.mul step (Int64.of_int index)))
+      | Wire.Random_field (h, f, _) ->
+          Compilecore.mutate_field inst h f (fun width -> Prng.bits prng ~width))
+    muts;
+  Compilecore.deparse inst
 
-(* The raw path renders through the staged engine — parse + deparse
-   compiled once per generator (lazily: only batched validation pays the
-   compile), observationally identical to the tree render under the same
-   lenient hooks but with no steady-state allocation beyond the final
-   wire copy. The mutation path above keeps the tree engine: mutations
-   need general field assignment, which the staged form doesn't expose. *)
-let raw_inst t =
-  match t.raw with
-  | Some inst -> inst
-  | None ->
-      let cp =
-        P4ir.Compilecore.compile ~parse_hooks:gen_parse_hooks
-          ~update_ipv4_checksum:false t.program
-      in
-      let inst = P4ir.Compilecore.instantiate cp ~runtime:(P4ir.Runtime.create ()) in
-      t.raw <- Some inst;
-      inst
-
-(* The batched oracle's device-side shot: render [bits] exactly as a
-   mutation-free stream template hits the wire (parse, deparse, no
-   checksum refresh) and inject it back-to-back, bypassing the
-   management protocol. Increments the cumulative [generator/sent]
-   counter like any generated packet; does not touch the per-run
-   stream/disposition state, and leaves quiescing to the caller (one
-   per batch — see [Target.Device.inject_batch] and [Fuzz.Oracle]). *)
-let send_raw t bits =
-  let inst = raw_inst t in
-  P4ir.Compilecore.reset inst;
-  P4ir.Compilecore.run_parser inst bits;
-  let wire = P4ir.Compilecore.deparse inst in
-  let _, disposition = Device.inject t.device ~source:Device.Generator wire in
-  t.sent <- t.sent + 1;
+let inject t ?at_ns bits =
+  let _, disposition = Device.inject t.device ~source:Device.Generator ?at_ns bits in
   Stats.Counter.incr t.c_sent;
   disposition
 
+(* The single-packet shot behind every validation check: [bits] rendered
+   as a mutation-free stream template hits the wire, injected
+   back-to-back. Quiescing is the caller's, one per batch (see
+   [Target.Device.inject_batch] and [Fuzz.Oracle]). *)
+let send_raw t bits =
+  let inst = Lazy.force t.plain in
+  Compilecore.reset inst;
+  Compilecore.run_parser inst bits;
+  inject t (Compilecore.deparse inst)
+
 let start t =
-  t.dispositions <- [];
   let base = Device.now_ns t.device in
   let scheduled =
     List.concat_map
@@ -159,10 +106,4 @@ let start t =
       t.streams
   in
   let ordered = List.stable_sort (fun (a, _) (b, _) -> compare a b) scheduled in
-  List.iter
-    (fun (at, bits) ->
-      let _, disposition = Device.inject t.device ~source:Device.Generator ~at_ns:at bits in
-      t.sent <- t.sent + 1;
-      Stats.Counter.incr t.c_sent;
-      t.dispositions <- disposition :: t.dispositions)
-    ordered
+  List.iter (fun (at, bits) -> ignore (inject t ~at_ns:at bits)) ordered

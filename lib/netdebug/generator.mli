@@ -7,10 +7,13 @@
     into the data plane under test — after the input interfaces, which is
     what lets NetDebug test a device whose ports are dark.
 
-    The generator's own little pipeline uses spec semantics (it is
-    NetDebug's infrastructure, not the device under test) and it refreshes
-    the IPv4 checksum after mutation unless a mutation explicitly targets
-    the checksum field (so corrupted-checksum test streams are possible). *)
+    The generator's own little pipeline is the program's parser and
+    deparser compiled by {!P4ir.Compilecore} under lenient hooks (it is
+    NetDebug's infrastructure, not the device under test: it never
+    drops and never verifies a checksum). It refreshes the IPv4 checksum
+    after mutation unless a mutation explicitly targets the checksum
+    field (so corrupted-checksum test streams are possible); an unmutated
+    template hits the wire as parsed. *)
 
 type t
 
@@ -27,23 +30,13 @@ val start : t -> unit
     across streams. *)
 
 val send_raw : t -> Bitutil.Bitstring.t -> Target.Device.disposition
-(** Single-shot raw injection for batched validation: render [bits] the
-    way a mutation-free stream template hits the wire (parse with the
-    generator's lenient hooks, deparse, no checksum refresh — all in
-    reused scratch, so steady state allocates only the wire copy) and
-    inject it back-to-back at the generator's injection point, skipping
-    stream configuration and the management protocol. Counts toward
-    {!packets_sent} and the cumulative [generator/sent] metric. The
-    caller owns quiescing, one per batch (see
-    {!Target.Device.inject_batch} and [Fuzz.Oracle]). *)
-
-val packets_sent : t -> int
-(** Total packets injected since creation (or the last {!clear}). *)
-
-val last_dispositions : t -> Target.Device.disposition list
-(** Dispositions of the packets injected by the most recent {!start}, in
-    injection order (useful to tests; not part of the management
-    protocol). *)
+(** The single-packet shot every validation check fires: render [bits]
+    the way a mutation-free stream template hits the wire (in reused
+    scratch, so steady state allocates only the wire copy) and inject it
+    back-to-back at the generator's injection point, skipping stream
+    configuration and the management protocol. Counts toward the
+    cumulative [generator/sent] metric. The caller owns quiescing, one
+    per batch (see {!Target.Device.inject_batch} and [Fuzz.Oracle]). *)
 
 val clear : t -> unit
-(** Drop the configured streams and reset the counters. *)
+(** Drop the configured streams. *)

@@ -1,6 +1,5 @@
 module Programs = P4ir.Programs
 module Runtime = P4ir.Runtime
-module Interp = P4ir.Interp
 module Device = Target.Device
 module Bitstring = Bitutil.Bitstring
 
@@ -68,11 +67,6 @@ let export_artifacts t ~dir =
       ("spans.jsonl", Telemetry.Export.jsonl spans);
       ("metrics.prom", Telemetry.Export.prometheus (Device.metrics t.device));
     ]
-
-let spec_oracle t bits =
-  (Interp.process t.bundle.Programs.program (Device.runtime t.device)
-     ~ingress_port:generator_port bits)
-    .Interp.result
 
 let self_check t =
   let ( let* ) = Result.bind in

@@ -62,11 +62,6 @@ val generator_port : int
 (** The internal source port id test packets carry ([ingress_port] seen by
     the program when a packet comes from the generator). *)
 
-val spec_oracle :
-  t -> Bitutil.Bitstring.t -> P4ir.Interp.result
-(** Run the reference interpreter on the same program, entries and ingress
-    port the generator uses: the expected-behaviour oracle. *)
-
 val self_check : t -> (string list, string) result
 (** E1 (Figure 1) architecture self-check: the injection point bypasses
     the input interfaces, the check point observes packets ahead of the

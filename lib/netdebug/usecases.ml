@@ -64,8 +64,7 @@ module Functional = struct
         rules_for_expected oracle.Programs.program port out_bits
     | Interp.Dropped _ -> [ never_forward_rule ]
 
-  (* shared verdict: the spec expectation against the checker's summary,
-     identical for the management-protocol path and the batched one *)
+  (* the verdict: the spec expectation against the checker's summary *)
   let verdict_of spec i packet (summary : Wire.checker_summary) =
     let mismatch expected got =
       Some { mm_index = i; mm_packet = packet; mm_expected = expected; mm_got = got }
@@ -97,59 +96,43 @@ module Functional = struct
             (Printf.sprintf "forwarded to port %d" port)
         else None
 
-  (* one vector through one deployment: interpret the spec, program the
-     checker from it, fire the generator, read the verdict back *)
-  let check_vector ?regs oracle oracle_rt (hw : Harness.t) i packet =
-    let ctl = hw.Harness.controller in
+  (* The one device path of every single-packet check: [rules] armed
+     with fresh tallies, then the generator's raw shot. Check taps fire
+     synchronously on emission, so the checker's summary is final when
+     the disposition comes back — no management-protocol round trip. *)
+  let shot (hw : Harness.t) rules packet =
+    let chk = Agent.checker hw.Harness.agent in
+    Checker.configure chk rules;
+    Checker.clear chk;
+    Generator.send_raw (Agent.generator hw.Harness.agent) packet
+
+  (* [f k x] for every item, then one quiesce for the batch (DESIGN.md
+     §15). A packet's rules judge that packet only: the caller's rule
+     set is re-armed on the way out, normally or not, so traffic after
+     the batch is not judged against the last packet's expectation. *)
+  let batch (hw : Harness.t) f items =
+    let chk = Agent.checker hw.Harness.agent in
+    let armed = Checker.rules chk in
+    Fun.protect
+      ~finally:(fun () -> Checker.configure chk armed)
+      (fun () ->
+        let out = Array.mapi f items in
+        Device.quiesce hw.Harness.device;
+        out)
+
+  (* one vector: interpret the spec, arm the checker from it, fire the
+     shot, read the verdict back *)
+  let check_one ?regs oracle oracle_rt (hw : Harness.t) i packet =
     let spec =
       (Interp.process ?regs oracle.Programs.program oracle_rt
          ~ingress_port:Harness.generator_port packet)
         .Interp.result
     in
-    let* () = Controller.clear_test_state ctl in
-    let* () = Controller.configure_checker ctl (rules_for oracle spec) in
-    let* () = Controller.configure_generator ctl [ Controller.stream packet ] in
-    let* () = Controller.start_generator ctl in
-    let* summary = Controller.read_checker ctl in
-    verdict_of spec i packet summary
+    ignore (shot hw (rules_for oracle spec) packet);
+    verdict_of spec i packet (Checker.summary (Agent.checker hw.Harness.agent))
 
-  (* the same verdicts over the direct in-device handles: the spec
-     interpretation programs the checker in-process, the generator's raw
-     path injects (check taps fire synchronously on emission), and the
-     summary is read straight back — no management-protocol round trips
-     and one quiesce per batch instead of one per vector (DESIGN.md §15).
-     [base] offsets the reported indices; [reset_registers] zeroes the
-     device's register file before each vector (the sharded sweep's
-     independence contract). A vector's rules judge that vector only: the
-     caller's rule set is re-armed on the way out, normally or not, so
-     traffic after the batch is not judged against the last vector's
-     expectation (as [Oracle.with_batch] re-arms its mirror rule). *)
-  let check_batch ?regs ?(reset_registers = false) ?(base = 0) oracle oracle_rt
-      (hw : Harness.t) packets =
-    let gen = Agent.generator hw.Harness.agent in
-    let chk = Agent.checker hw.Harness.agent in
-    let dev = hw.Harness.device in
-    let armed = Checker.rules chk in
-    Fun.protect
-      ~finally:(fun () -> Checker.configure chk armed)
-      (fun () ->
-        let out =
-          Array.mapi
-            (fun k packet ->
-              if reset_registers then P4ir.Regstate.reset (Device.registers dev);
-              let spec =
-                (Interp.process ?regs oracle.Programs.program oracle_rt
-                   ~ingress_port:Harness.generator_port packet)
-                  .Interp.result
-              in
-              Checker.configure chk (rules_for oracle spec);
-              Checker.clear chk;
-              ignore (Generator.send_raw gen packet);
-              verdict_of spec (base + k) packet (Checker.summary chk))
-            packets
-        in
-        Device.quiesce dev;
-        out)
+  let check_batch ?regs ?(base = 0) oracle oracle_rt hw packets =
+    batch hw (fun k packet -> check_one ?regs oracle oracle_rt hw (base + k) packet) packets
 
   let oracle_runtime oracle =
     let rt = Runtime.create () in
@@ -158,41 +141,43 @@ module Functional = struct
     | Error e -> invalid_arg ("Usecases.Functional: " ^ e));
     rt
 
-  (* parallel sweep: shard the vector array over worker-owned harness
-     replicas, each worker validating its chunks through {!check_batch}.
-     Every vector is independent (registers reset before each one), so
-     the per-vector verdict depends only on the vector — the report is
-     identical for any jobs >= 2 regardless of scheduling. *)
-  let run_sharded ~jobs oracle oracle_rt (h : Harness.t) vecs =
+  (* The sweep: [items] in batches over worker-owned harnesses — worker
+     0 drives [h], every other worker its own [Harness.replicate]
+     replica — with the device's registers zeroed before every item, so
+     each verdict depends only on its item and the result is the same at
+     any [jobs]. [check w hw] is worker [w]'s per-item check on [hw].
+     Results land at their input index; worker telemetry folds back into
+     [h]'s device in ascending worker order (associative merges: the
+     order only buys determinism). *)
+  let sweep ~jobs (h : Harness.t) check items =
     Par.Pool.with_pool ~jobs (fun pool ->
         let shards =
           Par.Shard.create pool (fun w ->
-              if w = 0 then (h, oracle_rt)
-              else (Harness.replicate h, oracle_runtime oracle))
+              let hw = if w = 0 then h else Harness.replicate h in
+              (hw, check w hw))
         in
-        let n = Array.length vecs in
-        let batch = 8 in
-        let starts = Array.init ((n + batch - 1) / batch) (fun c -> c * batch) in
+        let n = Array.length items in
+        (* a lone worker takes everything as one batch, so its device
+           timeline (the spans [trace] exports) is a plain [check_batch]'s *)
+        let size = if jobs = 1 then max 1 n else 8 in
+        let starts = Array.init ((n + size - 1) / size) (fun c -> c * size) in
         let pieces =
           Par.Pool.map_chunks pool ~chunk:1
             (fun ~worker _ start ->
-              let hw, rtw = Par.Shard.get shards ~worker in
-              check_batch ~reset_registers:true ~base:start oracle rtw hw
-                (Array.sub vecs start (min batch (n - start))))
+              let hw, f = Par.Shard.get shards ~worker in
+              batch hw
+                (fun k x ->
+                  P4ir.Regstate.reset (Device.registers hw.Harness.device);
+                  f (start + k) x)
+                (Array.sub items start (min size (n - start))))
             starts
         in
-        let out = Array.make n None in
-        Array.iteri
-          (fun c piece -> Array.blit piece 0 out starts.(c) (Array.length piece))
-          pieces;
-        (* fold worker telemetry back into the caller's device, ascending
-           worker order (associative merges: order only for determinism) *)
         Par.Shard.iter shards (fun w (hw, _) ->
             if w > 0 then
               Telemetry.Registry.merge
                 ~into:(Device.metrics h.Harness.device)
                 (Device.metrics hw.Harness.device));
-        out)
+        Array.concat (Array.to_list pieces))
 
   let run ?oracle ?vectors ?(fuzz = 32) ?fuzz_seed ?(stateful = false) ?(jobs = 1)
       (h : Harness.t) =
@@ -203,34 +188,24 @@ module Functional = struct
       | Some v -> v
       | None -> Vectors.from_paths oracle.Programs.program oracle_rt
     in
-    let vectors = vectors @ Vectors.fuzz ?seed:fuzz_seed ~count:fuzz () in
-    let jobs = max 1 jobs in
-    if stateful then begin
-      (* stateful mode: thread one register store through the oracle and
-         start the device's registers from a known (zero) state, so both
-         sides see the same packet history — inherently sequential *)
-      P4ir.Regstate.reset (Device.registers h.Harness.device);
-      let oracle_regs = Some (P4ir.Regstate.create oracle.Programs.program) in
-      let mismatches = ref [] in
-      List.iteri
-        (fun i packet ->
-          match check_vector ?regs:oracle_regs oracle oracle_rt h i packet with
-          | Some m -> mismatches := m :: !mismatches
-          | None -> ())
-        vectors;
-      { fr_tested = List.length vectors; fr_mismatches = List.rev !mismatches }
-    end
-    else begin
-      let vecs = Array.of_list vectors in
-      let results =
-        if jobs > 1 then run_sharded ~jobs oracle oracle_rt h vecs
-        else check_batch oracle oracle_rt h vecs
-      in
-      {
-        fr_tested = Array.length vecs;
-        fr_mismatches = List.filter_map Fun.id (Array.to_list results);
-      }
-    end
+    let vecs = Array.of_list (vectors @ Vectors.fuzz ?seed:fuzz_seed ~count:fuzz ()) in
+    let results =
+      if stateful then begin
+        (* stateful mode: thread one register store through the oracle and
+           start the device's registers from a known (zero) state, so both
+           sides see the same packet history — inherently sequential *)
+        P4ir.Regstate.reset (Device.registers h.Harness.device);
+        check_batch ~regs:(P4ir.Regstate.create oracle.Programs.program) oracle oracle_rt h vecs
+      end
+      else
+        sweep ~jobs:(max 1 jobs) h
+          (fun w hw -> check_one oracle (if w = 0 then oracle_rt else oracle_runtime oracle) hw)
+          vecs
+    in
+    {
+      fr_tested = Array.length vecs;
+      fr_mismatches = List.filter_map Fun.id (Array.to_list results);
+    }
 
   let pp ppf r =
     Format.fprintf ppf "functional: %d vectors, %d mismatch(es)" r.fr_tested
@@ -263,21 +238,16 @@ module Functional = struct
   let paths_agree r = r.pr_divergences = []
   let first_divergence r = match r.pr_divergences with [] -> None | d :: _ -> Some d
 
-  (* one oracle vector through the generator/checker loop: program the
-     checker from the *symbolic* expectation (never the interpreter), fire
-     the generator, read the verdict *)
-  let check_path_vector (hw : Harness.t) (v : Testgen.vector) =
-    let ctl = hw.Harness.controller in
-    let* () = Controller.clear_test_state ctl in
+  (* one path vector: arm the checker from the *symbolic* expectation
+     (never the interpreter), fire the shot, read the verdict *)
+  let check_path (hw : Harness.t) (v : Testgen.vector) =
     let rules =
       match v.Testgen.v_expected with
       | Testgen.Forward port -> [ Controller.expect_port port ]
       | Testgen.Drop _ -> [ never_forward_rule ]
     in
-    let* () = Controller.configure_checker ctl rules in
-    let* () = Controller.configure_generator ctl [ Controller.stream v.Testgen.v_packet ] in
-    let* () = Controller.start_generator ctl in
-    let* summary = Controller.read_checker ctl in
+    ignore (shot hw rules v.Testgen.v_packet);
+    let summary = Checker.summary (Agent.checker hw.Harness.agent) in
     let diverged got =
       Some
         {
@@ -287,31 +257,19 @@ module Functional = struct
           dv_got = got;
         }
     in
+    let forwarded () =
+      let port =
+        match summary.Wire.cs_captures with c :: _ -> c.Wire.cap_port | [] -> -1
+      in
+      diverged (Printf.sprintf "forwarded to port %d" port)
+    in
     match v.Testgen.v_expected with
     | Testgen.Forward _ ->
         if summary.Wire.cs_total_seen = 0 then diverged "packet never emitted"
-        else begin
-          let failing =
-            List.filter (fun rs -> rs.Wire.rs_failed > 0) summary.Wire.cs_rules
-          in
-          if failing = [] then None
-          else
-            let port =
-              match summary.Wire.cs_captures with
-              | c :: _ -> c.Wire.cap_port
-              | [] -> -1
-            in
-            diverged (Printf.sprintf "forwarded to port %d" port)
-        end
-    | Testgen.Drop _ ->
-        if summary.Wire.cs_total_seen = 0 then None
-        else
-          let port =
-            match summary.Wire.cs_captures with
-            | c :: _ -> c.Wire.cap_port
-            | [] -> -1
-          in
-          diverged (Printf.sprintf "forwarded to port %d" port)
+        else if List.exists (fun rs -> rs.Wire.rs_failed > 0) summary.Wire.cs_rules then
+          forwarded ()
+        else None
+    | Testgen.Drop _ -> if summary.Wire.cs_total_seen = 0 then None else forwarded ()
 
   let check_paths ?seed ?max_paths ?(jobs = 1) ?oracle (h : Harness.t) =
     let oracle = match oracle with Some b -> b | None -> h.Harness.bundle in
@@ -325,33 +283,7 @@ module Functional = struct
       List.partition (fun v -> not v.Testgen.v_state_dependent) report.Testgen.tg_vectors
     in
     let vecs = Array.of_list usable in
-    let results =
-      if jobs <= 1 || Array.length vecs < 2 then
-        Array.map
-          (fun v ->
-            P4ir.Regstate.reset (Device.registers h.Harness.device);
-            check_path_vector h v)
-          vecs
-      else
-        Par.Pool.with_pool ~jobs (fun pool ->
-            let shards =
-              Par.Shard.create pool (fun w -> if w = 0 then h else Harness.replicate h)
-            in
-            let out =
-              Par.Pool.map_chunks pool ~chunk:2
-                (fun ~worker _ v ->
-                  let hw = Par.Shard.get shards ~worker in
-                  P4ir.Regstate.reset (Device.registers hw.Harness.device);
-                  check_path_vector hw v)
-                vecs
-            in
-            Par.Shard.iter shards (fun w hw ->
-                if w > 0 then
-                  Telemetry.Registry.merge
-                    ~into:(Device.metrics h.Harness.device)
-                    (Device.metrics hw.Harness.device));
-            out)
-    in
+    let results = sweep ~jobs h (fun _ hw _ v -> check_path hw v) vecs in
     (* results keep array order = ascending path id, so the head of the
        divergence list is always the first diverging path *)
     let divergences = List.filter_map Fun.id (Array.to_list results) in
@@ -728,21 +660,12 @@ module Comparison = struct
 
   let equivalent r = r.cr_divergences = []
 
-  (* a rule that fails on every packet turns the capture ring into a
-     port+bits mirror of everything the data plane emits *)
-  let mirror_rule = Controller.expect ~name:"mirror" (Ast.Const Value.fls)
-
-  let outcome_of (h : Harness.t) probe =
-    let ctl = h.Harness.controller in
-    let* () = Controller.clear_test_state ctl in
-    let* () = Controller.configure_checker ctl [ mirror_rule ] in
-    let* () = Controller.configure_generator ctl [ Controller.stream probe ] in
-    let* () = Controller.start_generator ctl in
-    let* summary = Controller.read_checker ctl in
-    match summary.Wire.cs_captures with
-    | [] -> "drop"
-    | c :: _ ->
-        Printf.sprintf "port %d, %s" c.Wire.cap_port (Bitstring.to_hex c.Wire.cap_bits)
+  (* a probe's fate: the port and bytes its shot was emitted with *)
+  let outcome_of (h : Harness.t) _ probe =
+    match Functional.shot h [] probe with
+    | Device.Emitted o ->
+        Printf.sprintf "port %d, %s" o.Device.o_port (Bitstring.to_hex o.Device.o_bits)
+    | Device.Dropped_pipeline _ | Device.Dropped_queue | Device.Lost_in_stage _ -> "drop"
 
   let run ?(quirks_a = Quirks.default) ?(quirks_b = Quirks.default) ?probes bundle_a
       bundle_b =
@@ -760,12 +683,15 @@ module Comparison = struct
           | Error e -> invalid_arg ("Usecases.Comparison: " ^ e));
           Vectors.from_paths bundle_a.Programs.program rt @ Vectors.fuzz ~count:16 ()
     in
+    let probes = Array.of_list probes in
+    let outcomes h = Functional.batch h (outcome_of h) probes in
+    let a = outcomes ha and b = outcomes hb in
     let divergences = ref [] in
-    List.iteri
+    Array.iteri
       (fun i probe ->
-        let a = outcome_of ha probe and b = outcome_of hb probe in
-        if not (String.equal a b) then
-          divergences := { dv_index = i; dv_probe = probe; dv_a = a; dv_b = b } :: !divergences)
+        if not (String.equal a.(i) b.(i)) then
+          divergences :=
+            { dv_index = i; dv_probe = probe; dv_a = a.(i); dv_b = b.(i) } :: !divergences)
       probes;
-    { cr_compared = List.length probes; cr_divergences = List.rev !divergences }
+    { cr_compared = Array.length probes; cr_divergences = List.rev !divergences }
 end

@@ -1,6 +1,14 @@
 (** The seven validation use-cases of Section 3, implemented on top of the
     harness. Each returns structured data; the bench harness renders the
-    paper's tables/figures from it. *)
+    paper's tables/figures from it.
+
+    Every single-packet check — functional validation, the per-path
+    check and comparison — fires one in-device shot: the packet's
+    checker rules armed in-process, the generator's raw render injected
+    ({!Generator.send_raw}), the verdict read straight back, and one
+    device quiesce per batch. The management protocol serves the
+    use-cases that drive streams or read device state (performance,
+    status). *)
 
 module Functional : sig
   (** Functional testing: drive directed + fuzz vectors through the device
@@ -37,11 +45,10 @@ module Functional : sig
       [jobs] (default 1) shards the vectors across that many worker
       domains, each driving its own {!Harness.replicate} replica of the
       deployment; per-worker telemetry is folded back into [h]'s device
-      registry on join. Parallel sweeps treat every vector as independent
-      — device registers are reset before each one — so the report is the
-      same for any [jobs >= 2]; it also matches [jobs = 1] for programs
-      without persistent register state. When [stateful] is set, [jobs]
-      is ignored (packet history is inherently sequential). *)
+      registry on join. Without [stateful] every vector is independent —
+      device registers are reset before each one — so the report is the
+      same for every [jobs]. When [stateful] is set, [jobs] is ignored
+      (packet history is inherently sequential). *)
 
   val passed : report -> bool
   (** True iff no vector mismatched. *)
@@ -54,48 +61,31 @@ module Functional : sig
       the differential. Exposed so long-running drivers (the soak loop)
       can build one oracle and validate incrementally. *)
 
-  val check_vector :
-    ?regs:P4ir.Regstate.t ->
-    P4ir.Programs.bundle ->
-    P4ir.Runtime.t ->
-    Harness.t ->
-    int ->
-    Bitutil.Bitstring.t ->
-    mismatch option
-  (** Run one vector through the full generator/checker loop: interpret
-      the spec under the oracle runtime, program the checker from the
-      predicted observation, fire the generator, read the verdict.
-      Clears generator/checker state (and quiesces the device) first, so
-      it can interleave with background traffic; device counters and
-      histograms are preserved across calls. *)
-
   val check_batch :
     ?regs:P4ir.Regstate.t ->
-    ?reset_registers:bool ->
     ?base:int ->
     P4ir.Programs.bundle ->
     P4ir.Runtime.t ->
     Harness.t ->
     Bitutil.Bitstring.t array ->
     mismatch option array
-  (** Batched {!check_vector}: the same spec-programmed rules and verdict
-      logic per vector, but driven through the direct in-device handles —
-      the checker is configured in-process and the generator's raw path
-      injects each vector back-to-back, so the whole batch pays zero
-      management-protocol round trips and one device quiesce (at the
-      end) instead of one per vector. Verdicts land at their vector
-      index; [mm_index] is [base + index] (default [base = 0]).
-      [reset_registers] (default false) zeroes the device's register
-      file before each vector, as the sharded sweep requires. Used by
-      {!run}'s non-stateful paths and the soak loop's concurrent
-      validation (DESIGN.md §15).
+  (** Validate [packets] in order on [h]: for each, interpret the spec
+      under the oracle runtime (threading [regs] when given), arm the
+      checker with the predicted observation, fire the generator's raw
+      shot ({!Generator.send_raw}) and read the verdict back in-process —
+      no management-protocol round trip, and one device quiesce for the
+      whole batch. Device registers are not reset. Verdicts land at their
+      packet index; [mm_index] is [base + index] (default [base = 0]).
+      Used by {!run} and the soak loop's concurrent validation
+      (DESIGN.md §15).
 
-      Each vector's rules are armed only while that vector is judged.
+      Each packet's rules are armed only while that packet is judged.
       On return, normal or exceptional, the checker holds the rule set
       it held at the call (re-armed through {!Checker.configure}, so
       with fresh tallies): emissions after the batch — the soak's
       background traffic — are judged by the caller's rules, and with
-      none armed they are only counted, never re-parsed. *)
+      none armed they are only counted, never re-parsed. {!run} and
+      {!check_paths} keep the same contract. *)
 
   type divergence = {
     dv_path : int;  (** 1-based path index, in exploration order *)

@@ -178,8 +178,8 @@ let run ?(cfg = default_cfg) ?rules ?health ?sink ?on_window (h : Harness.t) =
       incr injected
     done;
     if cfg.sk_validations_per_window > 0 then begin
-      (* the window's validation burst as one batch: direct agent handles,
-         one quiesce — the verdicts are those of per-vector check_vector *)
+      (* the window's validation burst as one batch: one in-device shot
+         per vector, one quiesce for the burst *)
       let pkts =
         Array.init cfg.sk_validations_per_window (fun k ->
             pool.((!vec_idx + k) mod Array.length pool))

@@ -1045,21 +1045,39 @@ let deparse st =
   Builder.add_sub b st.pkt ~off:st.payload_off ~len:(Bitstring.length st.pkt - st.payload_off);
   Builder.contents b
 
+(* Name resolution for the by-name field writes below, raising [Env]'s
+   messages for undeclared names. *)
+let header_exn lay h =
+  match header_id lay h with
+  | Some hid -> hid
+  | None -> invalid_arg (Printf.sprintf "Env: undeclared header %s" h)
+
+let slot_exn lay h f =
+  match field_slot lay h f with
+  | Some slot -> slot
+  | None -> invalid_arg (Printf.sprintf "Env: undeclared field %s.%s" h f)
+
 (* Fault injection against the staged state: mirrors [Device.corrupt],
    which XORs a mask into a field through [Env.get_field]/[set_field]. *)
 let corrupt_field st h f mask =
   let lay = st.cp.lay in
-  match header_id lay h with
-  | None -> invalid_arg (Printf.sprintf "Env: undeclared header %s" h)
-  | Some hid -> (
-      match field_slot lay h f with
-      | None -> invalid_arg (Printf.sprintf "Env: undeclared field %s.%s" h f)
-      | Some slot ->
-          if st.valid.(hid) then
-            st.fields.(slot) <-
-              Int64.logand
-                (Int64.logxor st.fields.(slot) (Int64.logand mask lay.slot_mask.(slot)))
-                lay.slot_mask.(slot))
+  let hid = header_exn lay h in
+  let slot = slot_exn lay h f in
+  if st.valid.(hid) then
+    st.fields.(slot) <-
+      Int64.logand
+        (Int64.logxor st.fields.(slot) (Int64.logand mask lay.slot_mask.(slot)))
+        lay.slot_mask.(slot)
+
+(* A generated packet's field mutation with [Env]'s semantics: the
+   [Env.is_valid] guard (an invalid header is left alone), then
+   [Env.get_field]'s width and [Env.set_field]'s mask. *)
+let mutate_field st h f v =
+  let lay = st.cp.lay in
+  if st.valid.(header_exn lay h) then begin
+    let slot = slot_exn lay h f in
+    st.fields.(slot) <- Int64.logand (v lay.slot_width.(slot)) lay.slot_mask.(slot)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain compilation cache (spec hooks only)                      *)

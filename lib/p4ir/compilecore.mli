@@ -124,3 +124,12 @@ val corrupt_field : inst -> string -> string -> int64 -> unit
 (** [corrupt_field i h f mask] XORs [mask] into a field of a valid header
     (no-op when invalid), mirroring the device simulator's corrupt fault.
     @raise Invalid_argument for undeclared names, like {!Env.get_field}. *)
+
+val mutate_field : inst -> string -> string -> (int -> int64) -> unit
+(** [mutate_field i h f v] sets a field of a valid header to [v width],
+    masked to the field's width, after {!run_parser} and before
+    {!deparse} — the test packet generator's stream mutations. An
+    invalid header is left untouched and [v] is not called, as the tree
+    render's [Env.is_valid] guard does.
+    @raise Invalid_argument for an undeclared header, or an undeclared
+    field of a valid header, with {!Env}'s messages. *)

@@ -19,29 +19,6 @@ let ipv4_checksum_of_env env =
   Env.set_field env "ipv4" "checksum" saved;
   Bitutil.Checksum.checksum_bits bits
 
-let run_into ?update_ipv4_checksum b env =
-  let program = Env.program env in
-  let update =
-    Option.value update_ipv4_checksum ~default:program.Ast.p_update_ipv4_checksum
-  in
-  if update && Ast.find_header program "ipv4" <> None && Env.is_valid env "ipv4" then
-    Env.set_field env "ipv4" "checksum" (Value.of_int ~width:16 (ipv4_checksum_of_env env));
-  Bitstring.Builder.reset b;
-  List.iter
-    (fun hname ->
-      if Env.is_valid env hname then
-        match Ast.find_header program hname with
-        | None -> invalid_arg (Printf.sprintf "Deparse: undeclared header %s" hname)
-        | Some hd ->
-            List.iter
-              (fun (f : Ast.field_decl) ->
-                Bitstring.Builder.add_int64 b ~width:f.f_width
-                  (Value.to_int64 (Env.get_field env hname f.f_name)))
-              hd.h_fields)
-    program.Ast.p_deparser;
-  Bitstring.Builder.add_bits b (Env.payload env);
-  Bitstring.Builder.contents b
-
 let run ?update_ipv4_checksum env =
   let program = Env.program env in
   let update =

@@ -8,13 +8,6 @@ val run : ?update_ipv4_checksum:bool -> Env.t -> Bitutil.Bitstring.t
     checksum field is recomputed in place before emission.
     @raise Invalid_argument if the deparser names an undeclared header. *)
 
-val run_into :
-  ?update_ipv4_checksum:bool -> Bitutil.Bitstring.Builder.t -> Env.t -> Bitutil.Bitstring.t
-(** As {!run}, but accumulate into a caller-owned reusable
-    {!Bitutil.Bitstring.Builder} (reset first) instead of fresh per-call
-    writers: a steady-state render loop allocates nothing beyond the
-    final contents copy. Observationally identical to {!run}. *)
-
 val header_bits : Env.t -> string -> Bitutil.Bitstring.t
 (** Serialize one (valid) header instance from its current field values. *)
 

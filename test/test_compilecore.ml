@@ -571,6 +571,124 @@ let test_device_parity_registers () =
       Alcotest.(check bool) (what ^ ": a port ran over budget") true
         (Stats.Counter.Set.get (Device.counters d) "prog/rate_limited" > 0L))
 
+(* ---------------- generator render ---------------- *)
+
+module Wire = Netdebug.Wire
+
+(* A device that emits every packet exactly as injected (no headers, an
+   empty parser and deparser), so its outputs are the generator's
+   rendered wire bytes. *)
+let passthrough =
+  lazy
+    (Compile.compile_exn ~quirks:Quirks.none
+       {
+         Programs.reflector.Programs.program with
+         Ast.p_name = "passthrough";
+         p_headers = [];
+         p_parser = [ Dsl.state "start" Dsl.accept ];
+         p_deparser = [];
+         p_ingress = [ Dsl.set_std Ast.Egress_spec (Dsl.const ~width:9 1) ];
+       })
+      .Compile.pipeline
+
+let staged_render program stream =
+  let d = Device.create (Lazy.force passthrough) in
+  let g = Netdebug.Generator.create ~program d in
+  Netdebug.Generator.configure g [ stream ];
+  Netdebug.Generator.start g;
+  List.map (fun o -> o.Device.o_bits) (Device.outputs d)
+
+(* The tree render, kept test-local: the template parsed under the
+   generator's lenient hooks into an [Env], the mutations applied through
+   [Env] to valid headers only, then [Deparse.run] — refreshing the IPv4
+   checksum only when mutations dirtied a header and none targets it. *)
+let tree_render program (stream : Wire.stream) =
+  let muts = stream.Wire.s_mutations in
+  let prng =
+    Prng.create
+      (List.fold_left
+         (fun acc m -> match m with Wire.Random_field (_, _, s) -> acc + s | _ -> acc)
+         0x9E37 muts)
+  in
+  let targets_checksum =
+    List.exists
+      (function
+        | Wire.Set_field (h, f, _) | Wire.Sweep_field (h, f, _, _) | Wire.Random_field (h, f, _)
+          ->
+            h = "ipv4" && f = "checksum")
+      muts
+  in
+  let update = program.Ast.p_update_ipv4_checksum && muts <> [] && not targets_checksum in
+  let hooks = { Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 } in
+  List.init stream.Wire.s_count (fun i ->
+      let env = Env.create program in
+      ignore
+        (Parse.run ~hooks (Exec.make_ctx ~env ~runtime:(Runtime.create ()) ()) stream.Wire.s_template);
+      let set h f v =
+        if Env.is_valid env h then
+          let width = Value.width (Env.get_field env h f) in
+          Env.set_field env h f (Value.make ~width (v width))
+      in
+      List.iter
+        (function
+          | Wire.Set_field (h, f, v) -> set h f (fun _ -> v)
+          | Wire.Sweep_field (h, f, start, step) ->
+              set h f (fun _ -> Int64.add start (Int64.mul step (Int64.of_int i)))
+          | Wire.Random_field (h, f, _) -> set h f (fun width -> Prng.bits prng ~width))
+        muts;
+      Deparse.run ~update_ipv4_checksum:update env)
+
+let render_outcome render =
+  match render () with
+  | bits -> Ok (List.map Bitstring.to_hex bits)
+  | exception Invalid_argument msg -> Error msg
+
+let stream_mutations =
+  [
+    [];
+    [ Wire.Set_field ("ipv4", "ttl", 0x107L) ];
+    [ Wire.Sweep_field ("ipv4", "dst", 0x0A000000L, 0x01000001L) ];
+    [ Wire.Random_field ("eth", "src", 42); Wire.Random_field ("ipv4", "id", 7) ];
+    [ Wire.Set_field ("ipv4", "checksum", 0xBADL) ];
+    [ Wire.Set_field ("eth", "nosuch", 1L) ];
+    [ Wire.Set_field ("nosuch", "f", 1L) ];
+  ]
+
+(* Every bundle, every probe (truncated and garbage ones included), every
+   stream shape: the staged render is the tree render, raised messages
+   included. *)
+let test_generator_render_parity () =
+  let outcome = Alcotest.(result (list string) string) in
+  List.iter
+    (fun (b : Programs.bundle) ->
+      let program = b.Programs.program in
+      List.iteri
+        (fun pi template ->
+          List.iteri
+            (fun si mutations ->
+              let stream = Netdebug.Controller.stream ~count:3 ~mutations template in
+              Alcotest.check outcome
+                (Printf.sprintf "%s probe %d stream %d" program.Ast.p_name pi si)
+                (render_outcome (fun () -> tree_render program stream))
+                (render_outcome (fun () -> staged_render program stream)))
+            stream_mutations)
+        probes)
+    Programs.all;
+  let router = Programs.basic_router.Programs.program in
+  let render template mutations =
+    render_outcome (fun () ->
+        staged_render router (Netdebug.Controller.stream ~mutations template))
+  in
+  let arp = P.serialize (P.arp_request ()) in
+  Alcotest.check outcome "an invalid header is left untouched"
+    (Ok [ Bitstring.to_hex arp ])
+    (render arp [ Wire.Set_field ("ipv4", "ttl", 7L) ]);
+  let udp = P.serialize (P.udp_ipv4 ()) in
+  Alcotest.check outcome "undeclared header" (Error "Env: undeclared header nosuch")
+    (render udp [ Wire.Set_field ("nosuch", "f", 1L) ]);
+  Alcotest.check outcome "undeclared field" (Error "Env: undeclared field ipv4.nosuch")
+    (render udp [ Wire.Set_field ("ipv4", "nosuch", 1L) ])
+
 let () =
   Alcotest.run "compilecore"
     [
@@ -594,4 +712,6 @@ let () =
           Alcotest.test_case "quirked pipelines" `Quick test_device_parity_quirked;
           Alcotest.test_case "register state" `Quick test_device_parity_registers;
         ] );
+      ( "generator render",
+        [ Alcotest.test_case "staged matches tree" `Quick test_generator_render_parity ] );
     ]

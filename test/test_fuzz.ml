@@ -215,6 +215,74 @@ let test_exec_batch_singleton_identity () =
     (List.sort compare (Coverage.labels (Oracle.coverage one)))
     (List.sort compare (Coverage.labels (Oracle.coverage batched)))
 
+(* The management-protocol reference for the oracle's device side, kept
+   test-local: a checker rule failing on every emission mirrors it into
+   the capture ring, and each input goes out as a one-packet stream over
+   the wire from zeroed registers. *)
+let protocol_device bundle =
+  let h = Netdebug.Harness.deploy ~quirks:Quirks.default ~span_sampling:0 bundle in
+  let ctl = h.Netdebug.Harness.controller in
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  let mirror =
+    Netdebug.Controller.expect ~name:"mirror" (P4ir.Ast.Const P4ir.Value.fls)
+  in
+  ok (Netdebug.Controller.configure_checker ctl [ mirror ]);
+  fun input ->
+    P4ir.Regstate.reset (Target.Device.registers h.Netdebug.Harness.device);
+    ok (Netdebug.Controller.clear_test_state ctl);
+    ok (Netdebug.Controller.configure_generator ctl [ Netdebug.Controller.stream input ]);
+    ok (Netdebug.Controller.start_generator ctl);
+    match (ok (Netdebug.Controller.read_checker ctl)).Netdebug.Wire.cs_captures with
+    | c :: _ -> Oracle.Dev_forwarded (c.Netdebug.Wire.cap_port, c.Netdebug.Wire.cap_bits)
+    | [] -> Oracle.Dev_dropped
+
+let test_execute_matches_protocol () =
+  (* execute (one-element windows) and exec_batch (one window) observe
+     what the protocol reference observes, and judge it the same way, on
+     a quirky deployment where both verdict kinds appear *)
+  let inputs =
+    Array.of_list
+      (List.map Packet.serialize
+         [
+           Packet.udp_ipv4 ~dst:0x0A000001L ();
+           Packet.udp_ipv4 ~dst:0x0A010203L ~ttl:1L ();
+           Packet.arp_request ();
+           Packet.map_ipv4
+             (fun ip -> { ip with Packet.Ipv4.checksum = 0xBADL })
+             (Packet.udp_ipv4 ());
+         ]
+      @ Netdebug.Vectors.fuzz ~seed:5 ~count:40 ())
+  in
+  let reference = Array.map (protocol_device Programs.basic_router) inputs in
+  let single = Array.map (Oracle.execute (Oracle.create Programs.basic_router)) inputs in
+  let window = Oracle.exec_batch (Oracle.create Programs.basic_router) inputs in
+  let dev = function
+    | Oracle.Dev_forwarded (p, bits) -> Printf.sprintf "fwd:%d:%s" p (Bitstring.to_hex bits)
+    | Oracle.Dev_dropped -> "drop"
+  in
+  let agrees spec d =
+    match (spec, d) with
+    | P4ir.Interp.Forwarded (p, out), Oracle.Dev_forwarded (q, bits) ->
+        p = q && Bitstring.equal out bits
+    | P4ir.Interp.Dropped _, Oracle.Dev_dropped -> true
+    | _ -> false
+  in
+  check_bool "both verdict kinds appear" true
+    (Array.exists (fun x -> x.Oracle.x_divergence = None) single
+    && Array.exists (fun x -> x.Oracle.x_divergence <> None) single);
+  Array.iteri
+    (fun i ref_dev ->
+      List.iter
+        (fun (what, (x : Oracle.exec)) ->
+          check_string
+            (Printf.sprintf "%s input %d: device side" what i)
+            (dev ref_dev) (dev x.Oracle.x_dev);
+          check_bool
+            (Printf.sprintf "%s input %d: verdict" what i)
+            (agrees x.Oracle.x_spec ref_dev) (x.Oracle.x_divergence = None))
+        [ ("execute", single.(i)); ("exec_batch", window.(i)) ])
+    reference
+
 (* ---------------- async engine ---------------- *)
 
 let fingerprints r =
@@ -335,6 +403,8 @@ let () =
         [
           Alcotest.test_case "exec_batch singleton identity" `Quick
             test_exec_batch_singleton_identity;
+          Alcotest.test_case "execute matches the protocol reference" `Quick
+            test_execute_matches_protocol;
         ] );
       ( "async",
         [

@@ -494,12 +494,84 @@ let test_check_batch_restores_rules () =
   let mine = [ Controller.expect_port ~name:"mine" 1 ] in
   Netdebug.Checker.configure chk mine;
   ignore (Usecases.Functional.check_batch oracle rt h [| fwd |]);
-  check_bool "caller's rules re-armed" true (Netdebug.Checker.rules chk = mine)
+  check_bool "caller's rules re-armed" true (Netdebug.Checker.rules chk = mine);
+  (* every other entry point that arms per-vector rules keeps the same
+     contract *)
+  List.iter
+    (fun (what, entry) ->
+      Netdebug.Checker.configure chk [];
+      entry ();
+      let after = judged () in
+      background ();
+      check_bool (what ^ ": background not judged") true (judged () = after);
+      check_bool (what ^ ": nothing left armed") true (Netdebug.Checker.rules chk = []);
+      Netdebug.Checker.configure chk mine;
+      entry ();
+      check_bool (what ^ ": caller's rules re-armed") true (Netdebug.Checker.rules chk = mine))
+    [
+      ("check_paths", fun () -> ignore (Usecases.Functional.check_paths h));
+      ("stateful run", fun () -> ignore (Usecases.Functional.run ~stateful:true ~fuzz:4 h));
+      ("run", fun () -> ignore (Usecases.Functional.run ~fuzz:4 h));
+    ]
+
+(* [check_vector]: the management-protocol reference for one functional
+   vector, kept test-local: the spec's expected-output rules (egress port plus one
+   equality per output header field) programmed over the wire, the
+   vector as a one-packet stream, the checker's summary read back, and
+   the verdict strings [Functional] reports. *)
+let check_vector (oracle : Programs.bundle) rt (h : Harness.t) i packet =
+  let program = oracle.Programs.program in
+  let ctl = h.Harness.controller in
+  let spec =
+    (P4ir.Interp.process program rt ~ingress_port:Harness.generator_port packet)
+      .P4ir.Interp.result
+  in
+  let fields_of bits =
+    let env = P4ir.Env.create program in
+    let ctx = P4ir.Exec.make_ctx ~env ~runtime:(Runtime.create ()) () in
+    let hooks = { P4ir.Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 } in
+    ignore (P4ir.Parse.run ~hooks ctx bits);
+    P4ir.Env.snapshot_fields env
+  in
+  let rules =
+    match spec with
+    | P4ir.Interp.Forwarded (port, out) ->
+        Controller.expect_port port
+        :: List.map
+             (fun (hd, f, v) ->
+               Controller.expect ~name:(hd ^ "." ^ f)
+                 (Ast.Bin (Ast.Eq, Ast.Field (hd, f), Ast.Const v)))
+             (fields_of out)
+    | P4ir.Interp.Dropped _ -> [ Controller.expect ~name:"unexpected-output" (Ast.Const Value.fls) ]
+  in
+  ok (Controller.clear_test_state ctl);
+  ok (Controller.configure_checker ctl rules);
+  ok (Controller.configure_generator ctl [ Controller.stream packet ]);
+  ok (Controller.start_generator ctl);
+  let s = ok (Controller.read_checker ctl) in
+  let failing =
+    List.filter_map
+      (fun rs -> if rs.Wire.rs_failed > 0 then Some rs.Wire.rs_name else None)
+      s.Wire.cs_rules
+  in
+  let port = match s.Wire.cs_captures with c :: _ -> c.Wire.cap_port | [] -> -1 in
+  match spec with
+  | P4ir.Interp.Forwarded (p, _) when s.Wire.cs_total_seen = 0 ->
+      Some (i, Printf.sprintf "forward to port %d" p, "packet never emitted")
+  | P4ir.Interp.Forwarded (p, _) when failing <> [] ->
+      Some
+        ( i,
+          Printf.sprintf "forward to port %d with spec field values" p,
+          "rule(s) failed: " ^ String.concat ", " failing )
+  | P4ir.Interp.Forwarded _ -> None
+  | P4ir.Interp.Dropped r when s.Wire.cs_total_seen > 0 ->
+      Some (i, Printf.sprintf "drop (%s)" r, Printf.sprintf "forwarded to port %d" port)
+  | P4ir.Interp.Dropped _ -> None
 
 let test_check_batch_matches_check_vector () =
-  (* the batched validation path must reproduce check_vector's verdicts
-     index-for-index, on a quirky deployment so both mismatch and clean
-     verdicts appear in the batch *)
+  (* the in-device shot must reproduce the management-protocol
+     reference's verdicts index-for-index, on a quirky deployment so both
+     mismatch and clean verdicts appear in the batch *)
   let vecs =
     Array.of_list
       (List.map P.serialize
@@ -514,30 +586,19 @@ let test_check_batch_matches_check_vector () =
   let oracle = Programs.parser_guard in
   let ha = Harness.deploy ~quirks:Quirks.default Programs.parser_guard in
   let rta = Usecases.Functional.oracle_runtime oracle in
-  let sequential =
-    Array.mapi (fun i v -> Usecases.Functional.check_vector oracle rta ha i v) vecs
-  in
+  let reference = Array.mapi (fun i v -> check_vector oracle rta ha i v) vecs in
   let hb = Harness.deploy ~quirks:Quirks.default Programs.parser_guard in
   let rtb = Usecases.Functional.oracle_runtime oracle in
-  let batched = Usecases.Functional.check_batch oracle rtb hb vecs in
-  check_int "same number of verdicts" (Array.length sequential) (Array.length batched);
+  let batched =
+    Array.map
+      (Option.map (fun (m : Usecases.Functional.mismatch) ->
+           (m.Usecases.Functional.mm_index, m.mm_expected, m.mm_got)))
+      (Usecases.Functional.check_batch oracle rtb hb vecs)
+  in
   check_bool "batch contains both verdict kinds" true
     (Array.exists Option.is_some batched && Array.exists Option.is_none batched);
-  Array.iteri
-    (fun i sq ->
-      match (sq, batched.(i)) with
-      | None, None -> ()
-      | Some a, Some b ->
-          check_int "same index" a.Usecases.Functional.mm_index
-            b.Usecases.Functional.mm_index;
-          Alcotest.(check string)
-            "same expectation" a.Usecases.Functional.mm_expected
-            b.Usecases.Functional.mm_expected;
-          Alcotest.(check string)
-            "same observation" a.Usecases.Functional.mm_got
-            b.Usecases.Functional.mm_got
-      | _ -> Alcotest.failf "vector %d: verdicts disagree" i)
-    sequential
+  Alcotest.(check (array (option (triple int string string))))
+    "same verdicts as the protocol reference" reference batched
 
 let test_performance_sweep_shape () =
   let h = Harness.deploy Programs.basic_router in

@@ -165,6 +165,25 @@ let test_functional_parallel_identity () =
     "jobs=2 and jobs=4 agree" true
     (mismatch_facts par2 = mismatch_facts par)
 
+let test_functional_register_program_jobs_invariance () =
+  (* rate_limiter keeps per-port budgets in registers: every vector
+     starts from zeroed registers at any jobs, so jobs=1 renders like
+     jobs=2 — real quirk mismatches included — and a faithful device
+     passes *)
+  let render quirks jobs =
+    let h = Harness.deploy ~quirks ~span_sampling:0 Programs.rate_limiter in
+    Format.asprintf "%a" Functional.pp (Functional.run ~jobs h)
+  in
+  List.iter
+    (fun (what, quirks) ->
+      Alcotest.(check string)
+        (what ^ ": jobs=1 renders like jobs=2")
+        (render quirks 2) (render quirks 1))
+    [ ("no quirks", Quirks.none); ("default quirks", Quirks.default) ];
+  check_bool "faithful run passes" true
+    (Functional.passed
+       (Functional.run ~jobs:1 (Harness.deploy ~quirks:Quirks.none Programs.rate_limiter)))
+
 let test_functional_parallel_telemetry_merged () =
   let h = Harness.deploy ~span_sampling:0 Programs.basic_router in
   let r = Functional.run ~fuzz:16 ~jobs:4 h in
@@ -277,6 +296,8 @@ let () =
       ( "functional",
         [
           Alcotest.test_case "parallel identity" `Quick test_functional_parallel_identity;
+          Alcotest.test_case "register program jobs invariance" `Quick
+            test_functional_register_program_jobs_invariance;
           Alcotest.test_case "telemetry merged" `Quick
             test_functional_parallel_telemetry_merged;
           Alcotest.test_case "replicate equivalent+independent" `Quick
