@@ -170,6 +170,17 @@ let test_waypoint_paths_match_routes () =
   in
   check_bool "some pairs cross a spine" true (List.length crossed > 0)
 
+(* Every fat-tree:4 pair's waypoint (the top-tier device, which in a
+   fat-tree fixes the whole path), hops, TTL and latency: pins the
+   deterministic ECMP choice byte for byte. *)
+let test_waypoint_golden () =
+  let ic = open_in "net_waypoint.golden" in
+  let n = in_channel_length ic in
+  let golden = really_input_string ic n in
+  close_in ic;
+  let r = Fleet.run Fleet.Waypoint (Fabric.create (Topology.fat_tree 4)) in
+  check_string "waypoint report matches golden" golden (Fleet.render_outcomes r)
+
 let test_jobs_invariance () =
   let topo () = Topology.leaf_spine ~spines:2 ~leaves:4 () in
   let r1 = Fleet.run ~jobs:1 Fleet.Reachability (Fabric.create (topo ())) in
@@ -319,6 +330,7 @@ let () =
             test_fat_tree_reachability;
           Alcotest.test_case "waypoint paths match routes" `Quick
             test_waypoint_paths_match_routes;
+          Alcotest.test_case "fat-tree:4 waypoint golden" `Quick test_waypoint_golden;
           Alcotest.test_case "jobs=1 and jobs=4 verdicts identical" `Quick
             test_jobs_invariance;
         ] );
