@@ -1,4 +1,4 @@
-(* Microbenchmarks: one row per cost table in EXPERIMENTS.md (B2-B18).
+(* Microbenchmarks: one row per cost table in EXPERIMENTS.md (B2-B19).
    Every row is timed by [interleaved_rows]: one loop, one clock, and
    allocation read from the Gc counters of every domain the row runs on. *)
 
@@ -116,6 +116,7 @@ let b15 = "netdebug/B15 device: forward one packet, snapshot streamer"
 let b16 = "netdebug/B16 fabric: forward one packet, co-simulated fabric"
 let b17 = "netdebug/B17 testgen: path-covering vectors for basic_router"
 let b18 = "netdebug/B18 sampler: one busy-window sample (Gc-counted)"
+let b19 = "netdebug/B19 net route: predict one fat-tree:6 pair's path (Gc-counted)"
 let b13a jobs = Printf.sprintf "netdebug/B13a fuzz campaign amortized per exec, jobs=%d, async" jobs
 
 (* A basic_router device with its routes installed, and the untimed step
@@ -260,6 +261,28 @@ let other_rows () =
       ]
   in
   let oracle = Fuzz.Oracle.create Programs.basic_router in
+  (* B19: the path a fleet pair's probe must take, read from a fat-tree:6
+     route table; one round cycles every ordered pair of distinct edge
+     switches *)
+  let route_pairs, route_walk =
+    let topo = Net.Topology.fat_tree 6 in
+    let routes = Net.Route.create topo in
+    let edges =
+      List.map (fun (n : Net.Topology.node) -> n.Net.Topology.n_id) (Net.Topology.edges topo)
+    in
+    let pairs =
+      List.concat_map
+        (fun s -> List.filter_map (fun d -> if s = d then None else Some (s, d)) edges)
+        edges
+      |> Array.of_list
+    in
+    let i = ref 0 in
+    ( Array.length pairs,
+      fun () ->
+        let src_edge, dst_edge = pairs.(!i) in
+        i := (!i + 1) mod Array.length pairs;
+        ignore (Net.Route.route routes ~src_edge ~dst_edge) )
+  in
   [
     row ~setup:(drain h.Netdebug.Harness.device)
       "netdebug/B3 generator: render+inject one mutated packet" 12 (fun () ->
@@ -284,6 +307,7 @@ let other_rows () =
        generator's raw shot in a one-element window, quiesce included *)
     row "netdebug/B12 fuzz: one differential-oracle execution" 8 (fun () ->
         ignore (Fuzz.Oracle.execute oracle routed_probe));
+    row b19 route_pairs route_walk;
   ]
 
 (* B5b/B5c pin 100 MB+ of route table, so they form a group of their own. *)
@@ -440,6 +464,10 @@ let absolute_gates =
        span-stored histograms and a reused line buffer, against ~117 µs
        and ~8.3k words with dense bins *)
     (b18, `Best, 80_000.0, Some 7_500.0, "B18 busy-window sample");
+    (* a walk of the route table allocates the path list (~21 words);
+       a per-call BFS reads ~19k words and tens of µs. The ns ceiling is
+       loose — the words are the signal *)
+    (b19, `Mean, 2_000.0, Some 64.0, "B19 route walk");
   ]
 
 let stat_name = function `Best -> "best" | `Mean -> "mean"

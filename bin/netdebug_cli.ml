@@ -1057,7 +1057,7 @@ let net_cmd =
                 String.sub spec (i + 1) (String.length spec - i - 1) )
           | None -> (spec, "ma:ipv4_lpm")
         in
-        Net.Fabric.inject_fault fab ~device ~stage Fault.Drop_at_stage;
+        or_die (Net.Fabric.inject_fault fab ~device ~stage Fault.Drop_at_stage);
         Format.printf "injected drop fault: device %s, stage %s@." device stage);
     let r = Fleet.run ~jobs scenario fab in
     print_string (Fleet.render r);

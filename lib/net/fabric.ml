@@ -86,6 +86,7 @@ end
 
 type t = {
   topo : Topology.t;
+  routes : Route.table;  (** immutable: shared with every replica *)
   devices : Harness.t array;
   dest : port_dest array array;  (** [node].(port) — where an emission goes *)
   heap : Heap.t;
@@ -125,10 +126,11 @@ let dest_map (topo : Topology.t) =
     topo.Topology.hosts;
   dest
 
-let of_devices topo devices =
+let of_devices topo routes devices =
   let metrics = Registry.create () in
   {
     topo;
+    routes;
     devices;
     dest = dest_map topo;
     heap = Heap.create ();
@@ -152,6 +154,7 @@ let create ?(quirks = Sdnet.Quirks.none) ?span_sampling (topo : Topology.t) =
     { Target.Config.netfpga_sume with ports = max 1 (Topology.max_ports topo) }
   in
   let bundle = Route.bundle () in
+  let routes = Route.create topo in
   let devices =
     Array.map
       (fun (n : Topology.node) ->
@@ -161,7 +164,7 @@ let create ?(quirks = Sdnet.Quirks.none) ?span_sampling (topo : Topology.t) =
         (match
            P4ir.Runtime.install_all bundle.P4ir.Programs.program
              (Device.runtime h.Harness.device)
-             (Route.entries_for topo n.Topology.n_id)
+             (Route.entries_for routes n.Topology.n_id)
          with
         | Ok () -> ()
         | Error e ->
@@ -171,16 +174,14 @@ let create ?(quirks = Sdnet.Quirks.none) ?span_sampling (topo : Topology.t) =
         h)
       topo.Topology.nodes
   in
-  of_devices topo devices
+  of_devices topo routes devices
 
-let replicate t = of_devices t.topo (Array.map (Harness.replicate ~faults:true) t.devices)
+let replicate t =
+  of_devices t.topo t.routes (Array.map (Harness.replicate ~faults:true) t.devices)
+
 let topology t = t.topo
+let routes t = t.routes
 let device t id = t.devices.(id)
-
-let device_named t name =
-  match Topology.node_named t.topo name with
-  | Some n -> t.devices.(n.Topology.n_id)
-  | None -> invalid_arg ("Net.Fabric.device_named: unknown device " ^ name)
 
 let now_ns t = t.now
 
@@ -285,7 +286,16 @@ let clear_probes t =
   t.next_probe <- 0
 
 let inject_fault t ~device ~stage fault =
-  Device.inject_fault (device_named t device).Harness.device ~stage fault
+  match Topology.node_named t.topo device with
+  | None -> Error (Printf.sprintf "unknown device %S" device)
+  | Some n ->
+      let dev = t.devices.(n.Topology.n_id).Harness.device in
+      let stages = Target.Pipeline.stage_names (Device.pipeline dev) in
+      if List.mem stage stages then Ok (Device.inject_fault dev ~stage fault)
+      else
+        Error
+          (Printf.sprintf "device %s has no stage %S (stages: %s)" device stage
+             (String.concat ", " stages))
 
 let quiesce t = Array.iter (fun h -> Device.quiesce h.Harness.device) t.devices
 

@@ -43,8 +43,9 @@ type t
 
 val create : ?quirks:Sdnet.Quirks.t -> ?span_sampling:int -> Topology.t -> t
 (** Deploy one device per node — same router program and device config
-    everywhere (ports sized to {!Topology.max_ports}) — and install
-    {!Route.entries_for} on each. [quirks] defaults to
+    everywhere (ports sized to {!Topology.max_ports}) — compute the
+    topology's {!Route.table} once, and install {!Route.entries_for} on
+    each device from it. [quirks] defaults to
     {!Sdnet.Quirks.none} (a faithful toolchain: network validation
     studies the network, not the compiler's quirk catalogue).
     @raise Invalid_argument when the topology fails {!Topology.validate}
@@ -54,18 +55,20 @@ val replicate : t -> t
 (** An independent fabric over the same topology: every device
     re-deployed via {!Netdebug.Harness.replicate}[ ~faults:true], so
     installed routes {e and} injected stage faults carry over, but no
-    mutable state (clocks, counters, queues, probe history) is shared.
+    mutable state (clocks, counters, queues, probe history) is shared;
+    the immutable {!routes} table is.
     This is what each {!Par.Pool} worker drives in a sharded fleet run;
     carrying faults is what keeps verdicts identical across [--jobs]
     values when a perturbation experiment is sharded. *)
 
 val topology : t -> Topology.t
 
+val routes : t -> Route.table
+(** The routes every device was installed from: what {!Fleet} and
+    {!Localize} walk to predict a probe's path. *)
+
 val device : t -> int -> Netdebug.Harness.t
 (** The deployment behind node [id]. *)
-
-val device_named : t -> string -> Netdebug.Harness.t
-(** @raise Invalid_argument for an unknown device name. *)
 
 val now_ns : t -> float
 (** The fabric clock: the latest event time processed. *)
@@ -90,9 +93,11 @@ val clear_probes : t -> unit
     state (clocks, counters, routes, faults) is untouched.
     @raise Invalid_argument while probes are still in flight. *)
 
-val inject_fault : t -> device:string -> stage:string -> Target.Fault.t -> unit
+val inject_fault :
+  t -> device:string -> stage:string -> Target.Fault.t -> (unit, string) result
 (** Seed a stage fault on one named device (see
-    {!Target.Device.inject_fault}). *)
+    {!Target.Device.inject_fault}). [Error] names an unknown device, or
+    a stage the device's pipeline does not have. *)
 
 val quiesce : t -> unit
 (** {!Target.Device.quiesce} every device — flush in-flight TX state

@@ -74,7 +74,10 @@ let waypoint_of topo path =
 let run_pair fabric scenario ~payload_bytes i ((src : Topology.host), (dst : Topology.host)) =
   let topo = Fabric.topology fabric in
   Fabric.clear_probes fabric;
-  let expected = Route.path topo ~src_edge:src.Topology.h_node ~dst_edge:dst.Topology.h_node in
+  let expected =
+    Route.route (Fabric.routes fabric) ~src_edge:src.Topology.h_node
+      ~dst_edge:dst.Topology.h_node
+  in
   let sent_ns = float_of_int (i + 1) *. epoch_ns in
   let id = Fabric.send fabric ~src ~at_ns:sent_ns (probe_bits ~payload_bytes src dst) in
   Fabric.run fabric;

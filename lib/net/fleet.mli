@@ -9,7 +9,7 @@
       TTL decremented once per switch hop, destination MAC rewritten to
       the host's — end-to-end forwarding correctness.
     - {e Waypoint}: additionally, the device trail must equal the exact
-      path {!Route.path} predicts — the probe traversed the fabric
+      path {!Route.route} predicts — the probe traversed the fabric
       {e through the right devices}, not merely arrived.
 
     Determinism across [--jobs]: pair [i] is injected at its own virtual

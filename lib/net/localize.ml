@@ -29,7 +29,10 @@ let packet_spans_since spans watermark =
 
 let locate ?(count = 16) fabric ~(src : Topology.host) ~(dst : Topology.host) =
   let topo = Fabric.topology fabric in
-  match Route.path topo ~src_edge:src.Topology.h_node ~dst_edge:dst.Topology.h_node with
+  match
+    Route.route (Fabric.routes fabric) ~src_edge:src.Topology.h_node
+      ~dst_edge:dst.Topology.h_node
+  with
   | None ->
       ( No_route,
         {

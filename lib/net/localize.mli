@@ -5,7 +5,7 @@
     The procedure mirrors the paper's stage-level algorithm one level
     up. Inject a burst of identical probes at a source edge host and
     check for them at the far edge. If some never arrive, bisect along
-    the path {!Route.path} says they must take, using each device's
+    the path {!Route.route} says they must take, using each device's
     ingress counters and span trail (sampling forced to every-packet for
     the burst) as the "did the burst reach this device?" predicate: the
     counters are monotone along the path — every device up to the fault

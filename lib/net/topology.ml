@@ -284,22 +284,7 @@ let single ?(host_delay_ns = default_host_delay) ~hosts () =
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let peer t ~node ~port =
-  let rec go i =
-    if i >= Array.length t.links then None
-    else
-      let l = t.links.(i) in
-      if l.l_a = node && l.l_a_port = port then Some (l.l_b, l.l_b_port, l)
-      else if l.l_b = node && l.l_b_port = port then Some (l.l_a, l.l_a_port, l)
-      else go (i + 1)
-  in
-  go 0
-
-let host_at t ~node ~port =
-  Array.to_seq t.hosts |> Seq.find (fun h -> h.h_node = node && h.h_port = port)
-
 let node_named t name = Array.to_seq t.nodes |> Seq.find (fun n -> n.n_name = name)
-let host_of_ip t hip = Array.to_seq t.hosts |> Seq.find (fun h -> h.h_ip = hip)
 
 let edges t =
   Array.to_list t.nodes |> List.filter (fun n -> n.n_subnet <> None)

@@ -87,16 +87,7 @@ val validate : t -> (unit, string) result
     produce valid topologies; JSON input goes through this before a
     fabric is built. *)
 
-val peer : t -> node:int -> port:int -> (int * int * link) option
-(** The switch on the far side of this port: (peer node, peer port,
-    link). [None] when the port faces a host or nothing. O(links) — a
-    build-time helper; {!Fabric} precomputes its own port maps. *)
-
-val host_at : t -> node:int -> port:int -> host option
-(** The host attached to this switch port, if any. *)
-
 val node_named : t -> string -> node option
-val host_of_ip : t -> int64 -> host option
 
 val node_mac : int -> int64
 (** The deterministic MAC a switch answers to (next-hop rewrite target). *)

@@ -181,6 +181,16 @@ let test_waypoint_golden () =
   let r = Fleet.run Fleet.Waypoint (Fabric.create (Topology.fat_tree 4)) in
   check_string "waypoint report matches golden" golden (Fleet.render_outcomes r)
 
+(* The fat-tree:4 golden sees only two-way ECMP fans, so it pins the
+   pick modulo 2; fat-tree:6 has three-way fans. Its 2 862-pair report
+   (what [netdebug net --topo fat-tree:6 --scenario waypoint --report]
+   writes) is pinned by its MD5. *)
+let test_waypoint_digest_fat_tree_6 () =
+  let r = Fleet.run Fleet.Waypoint (Fabric.create (Topology.fat_tree 6)) in
+  check_int "all pairs follow their predicted path" r.Fleet.r_pairs r.Fleet.r_passed;
+  check_string "waypoint report digest" "211362d2a1dfce14ac1587b10fd1a281"
+    (Digest.to_hex (Digest.string (Fleet.render_outcomes r)))
+
 let test_jobs_invariance () =
   let topo () = Topology.leaf_spine ~spines:2 ~leaves:4 () in
   let r1 = Fleet.run ~jobs:1 Fleet.Reachability (Fabric.create (topo ())) in
@@ -224,7 +234,9 @@ let faulted_pair topo spine_name =
 let test_localize_names_faulted_spine () =
   let topo = Topology.leaf_spine ~spines:2 ~leaves:2 () in
   let fab = Fabric.create topo in
-  Fabric.inject_fault fab ~device:"spine-1" ~stage:"ma:ipv4_lpm" Fault.Drop_at_stage;
+  (match Fabric.inject_fault fab ~device:"spine-1" ~stage:"ma:ipv4_lpm" Fault.Drop_at_stage with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "inject_fault: %s" e);
   let src, dst = faulted_pair topo "spine-1" in
   let verdict, ev = Net.Localize.locate fab ~src ~dst in
   (match verdict with
@@ -253,6 +265,82 @@ let test_localize_healthy_fabric () =
   | Net.Localize.Healthy -> ()
   | v -> Alcotest.failf "expected Healthy, got %s" (Net.Localize.verdict_to_string v));
   check_int "full burst delivered" ev.Net.Localize.n_count ev.Net.Localize.n_delivered
+
+let test_inject_fault_rejects_unknown_names () =
+  let topo = Topology.leaf_spine ~spines:1 ~leaves:2 () in
+  let fab = Fabric.create topo in
+  let error what = function
+    | Ok () -> Alcotest.failf "%s: expected an error" what
+    | Error e -> e
+  in
+  let inject ~device ~stage = Fabric.inject_fault fab ~device ~stage Fault.Drop_at_stage in
+  check_string "unknown device is named" "unknown device \"nosuch\""
+    (error "device" (inject ~device:"nosuch" ~stage:"ma:ipv4_lpm"));
+  let e = error "stage" (inject ~device:"spine-0" ~stage:"nosuchstage") in
+  check_bool ("unknown stage is named: " ^ e) true
+    (String.starts_with ~prefix:"device spine-0 has no stage \"nosuchstage\"" e);
+  Array.iter
+    (fun (n : Topology.node) ->
+      check_int (n.Topology.n_name ^ " carries no fault") 0
+        (List.length (Device.faults (Fabric.device fab n.Topology.n_id).Harness.device)))
+    topo.Topology.nodes
+
+(* ---------------- no route by design ---------------- *)
+
+(* leaf-spine 2x3 with leaf-2's uplinks removed: leaf-2 and its two hosts
+   are cut off from the rest of the fabric *)
+let cut_leaf_spine () =
+  let t = Topology.leaf_spine ~spines:2 ~leaves:3 () in
+  let cut = 2 in
+  {
+    t with
+    Topology.links =
+      Array.of_list
+        (List.filter
+           (fun (l : Topology.link) -> l.Topology.l_a <> cut && l.Topology.l_b <> cut)
+           (Array.to_list t.Topology.links));
+  }
+
+let test_no_route_by_design () =
+  let topo = cut_leaf_spine () in
+  check_valid "leaf-spine 2x3 without leaf-2's uplinks" topo;
+  let fab = Fabric.create topo in
+  let r = Fleet.run Fleet.Reachability fab in
+  check_int "pairs" 30 r.Fleet.r_pairs;
+  check_int "every pair passes" 30 r.Fleet.r_passed;
+  check_int "pairs across the cut are unrouted by design" 16
+    (Array.to_list r.Fleet.r_outcomes
+    |> List.filter (fun (o : Fleet.outcome) ->
+           o.Fleet.o_detail = "no route by design; probe dropped as expected")
+    |> List.length);
+  let leaf0_host = topo.Topology.hosts.(0) and leaf2_host = topo.Topology.hosts.(4) in
+  (match Net.Localize.locate fab ~src:leaf0_host ~dst:leaf2_host with
+  | Net.Localize.No_route, _ -> ()
+  | v, _ -> Alcotest.failf "expected No_route, got %s" (Net.Localize.verdict_to_string v));
+  List.iter
+    (fun (src_edge, dst_edge) ->
+      let what = Printf.sprintf "leaf-%d -> leaf-%d" src_edge dst_edge in
+      check_bool (what ^ ": no route") true
+        (Route.route (Fabric.routes fab) ~src_edge ~dst_edge = None);
+      check_bool (what ^ ": no path") true (Route.path topo ~src_edge ~dst_edge = None))
+    [ (0, 2); (2, 0) ];
+  (* what each connected device really installed: a route to leaf-1's
+     /24 but none to leaf-2's *)
+  let installs device (prefix, len) =
+    P4ir.Runtime.entries (Device.runtime (Fabric.device fab device).Harness.device) "ipv4_lpm"
+    |> List.exists (fun (e : P4ir.Entry.t) ->
+           e.P4ir.Entry.keys = [ P4ir.Entry.lpm (P4ir.Value.make ~width:32 prefix) len ])
+  in
+  let subnet id = Option.get topo.Topology.nodes.(id).Topology.n_subnet in
+  Array.iter
+    (fun (n : Topology.node) ->
+      let id = n.Topology.n_id in
+      if id <> 2 then begin
+        check_bool (n.Topology.n_name ^ " skips leaf-2's /24") false (installs id (subnet 2));
+        if id <> 1 then
+          check_bool (n.Topology.n_name ^ " routes leaf-1's /24") true (installs id (subnet 1))
+      end)
+    topo.Topology.nodes
 
 (* ---------------- satellite: prefixed registry merge ---------------- *)
 
@@ -331,6 +419,8 @@ let () =
           Alcotest.test_case "waypoint paths match routes" `Quick
             test_waypoint_paths_match_routes;
           Alcotest.test_case "fat-tree:4 waypoint golden" `Quick test_waypoint_golden;
+          Alcotest.test_case "fat-tree:6 waypoint digest" `Quick
+            test_waypoint_digest_fat_tree_6;
           Alcotest.test_case "jobs=1 and jobs=4 verdicts identical" `Quick
             test_jobs_invariance;
         ] );
@@ -339,7 +429,11 @@ let () =
           Alcotest.test_case "names the faulted spine" `Quick
             test_localize_names_faulted_spine;
           Alcotest.test_case "healthy fabric" `Quick test_localize_healthy_fabric;
+          Alcotest.test_case "inject_fault rejects unknown names" `Quick
+            test_inject_fault_rejects_unknown_names;
         ] );
+      ( "no route",
+        [ Alcotest.test_case "cut leaf by design" `Quick test_no_route_by_design ] );
       ( "satellites",
         [
           Alcotest.test_case "registry merge prefixes" `Quick
