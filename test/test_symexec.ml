@@ -454,6 +454,41 @@ let test_testgen_report_golden () =
   Alcotest.(check string) "report matches golden" golden
     (Testgen.render (Testgen.generate program rt))
 
+(* every witness byte of the library, pinned: one line per program and
+   solver seed (the default, then 1–8) with the vector count and one MD5
+   over every vector's path, ingress port, expectation and packet bytes *)
+let witness_lines () =
+  List.concat_map
+    (fun (b : Programs.bundle) ->
+      let program, rt = deploy b in
+      List.map
+        (fun seed ->
+          let r =
+            Testgen.generate ?seed ~ingress_port:Netdebug.Harness.generator_port program rt
+          in
+          let buf = Buffer.create 1024 in
+          List.iter
+            (fun (v : Testgen.vector) ->
+              Printf.bprintf buf "%d %d %s %d:%s\n" v.Testgen.v_path v.Testgen.v_ingress_port
+                (Testgen.expected_str v.Testgen.v_expected)
+                (Bitutil.Bitstring.length v.Testgen.v_packet)
+                (Bitutil.Bitstring.to_hex v.Testgen.v_packet))
+            r.Testgen.tg_vectors;
+          Printf.sprintf "%s seed=%s vectors=%d md5=%s" program.Ast.p_name
+            (Option.fold ~none:"default" ~some:string_of_int seed)
+            (List.length r.Testgen.tg_vectors)
+            (Digest.to_hex (Digest.string (Buffer.contents buf))))
+        (None :: List.init 8 (fun i -> Some (i + 1))))
+    Programs.all
+
+let test_testgen_witness_golden () =
+  let ic = open_in "testgen_witness.golden" in
+  let golden = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check (list string)) "witness digests match golden"
+    (String.split_on_char '\n' (String.trim golden))
+    (witness_lines ())
+
 (* the heart of the oracle: every emitted vector's expected observation is
    derived from the symbolic path alone, so replaying the packet on the
    reference interpreter — both engines — must reproduce it exactly, for
@@ -548,6 +583,7 @@ let () =
         [
           Alcotest.test_case "covers router paths" `Quick test_testgen_covers_router_paths;
           Alcotest.test_case "report golden" `Quick test_testgen_report_golden;
+          Alcotest.test_case "witness golden" `Quick test_testgen_witness_golden;
           QCheck_alcotest.to_alcotest prop_testgen_oracle_matches_interp;
         ] );
     ]
