@@ -16,6 +16,10 @@ let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
+(* every draw below moves the state by exactly one gamma, so skipping [n]
+   draws is one multiply-add *)
+let advance t n = t.state <- Int64.add t.state (Int64.mul (Int64.of_int n) golden_gamma)
+
 let split t =
   let seed = next_int64 t in
   { state = seed }

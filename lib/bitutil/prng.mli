@@ -11,6 +11,11 @@ val create : int -> t
 val copy : t -> t
 (** Independent copy continuing from the current state. *)
 
+val advance : t -> int -> unit
+(** [advance t n] skips [n] draws in O(1): [t] ends where [n] calls of
+    {!next_int64} would leave it. {!split}, {!int}, {!bool}, {!float},
+    {!bits} and {!choose} each take exactly one such step. *)
+
 val split : t -> t
 (** Derive a statistically independent generator; also advances [t]. *)
 

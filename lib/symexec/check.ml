@@ -36,16 +36,12 @@ let assertions ?seed program runtime =
     run.Sexec.obligations;
   Hashtbl.fold
     (fun msg obs acc ->
-      let verdict = ref Holds in
-      let detail = ref "no counterexample in bounded search" in
-      let witness = ref None in
+      let violation = ref None and unresolved = ref 0 in
       List.iter
         (fun (conds, cond) ->
-          if !verdict <> Violated then
+          if !violation = None then
             match Solver.solve ?seed (Sym.not_ cond :: conds) with
             | Solver.Sat model ->
-                verdict := Violated;
-                detail := "assertion can fail on a reachable path";
                 (* build a pseudo-path for witness rendering: reuse the first
                    explored path with the same condition prefix if any *)
                 let path =
@@ -54,17 +50,21 @@ let assertions ?seed program runtime =
                       List.for_all (fun c -> List.mem c p.Sexec.p_conds) conds)
                     run.Sexec.paths
                 in
-                witness :=
-                  Option.map (fun p -> witness_of p model) path
+                violation := Some (Option.map (fun p -> witness_of p model) path)
             | Solver.Unsat -> ()
-            | Solver.Unknown -> ())
+            | Solver.Unknown -> incr unresolved)
         obs;
-      {
-        f_property = Printf.sprintf "assert \"%s\"" msg;
-        f_verdict = !verdict;
-        f_detail = !detail;
-        f_witness = !witness;
-      }
+      let f_verdict, f_detail, f_witness =
+        match !violation with
+        | Some witness -> (Violated, "assertion can fail on a reachable path", witness)
+        | None when !unresolved > 0 ->
+            ( Unknown,
+              Printf.sprintf "%d of %d obligation(s) unresolved within the search budget"
+                !unresolved (List.length obs),
+              None )
+        | None -> (Holds, "no counterexample in bounded search", None)
+      in
+      { f_property = Printf.sprintf "assert \"%s\"" msg; f_verdict; f_detail; f_witness }
       :: acc)
     by_msg []
 
@@ -275,13 +275,14 @@ let egress_port_bounded ?seed ~ports ?(allowed = []) program runtime =
 
 let no_invalid_header_reads ?seed program runtime =
   let run = Sexec.explore program runtime in
-  let offending = ref None in
+  let offending = ref None and unresolved = ref 0 in
   List.iter
     (fun p ->
       if !offending = None && p.Sexec.p_invalid_reads <> [] then
         match Solver.solve ?seed p.Sexec.p_conds with
         | Solver.Sat model -> offending := Some (p, model)
-        | Solver.Unsat | Solver.Unknown -> ())
+        | Solver.Unsat -> ()
+        | Solver.Unknown -> incr unresolved)
     run.Sexec.paths;
   match !offending with
   | Some (p, model) ->
@@ -292,6 +293,16 @@ let no_invalid_header_reads ?seed program runtime =
         f_detail =
           Printf.sprintf "%s.%s is read on a path where %s was never parsed (reads 0)" h f h;
         f_witness = Some (witness_of p model);
+      }
+  | None when !unresolved > 0 ->
+      {
+        f_property = "no reads of invalid header fields";
+        f_verdict = Unknown;
+        f_detail =
+          Printf.sprintf
+            "%d path(s) reading an invalid header unresolved within the search budget"
+            !unresolved;
+        f_witness = None;
       }
   | None ->
       {

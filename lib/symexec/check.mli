@@ -2,9 +2,12 @@
     formal-verification baseline (in the spirit of p4v, the paper's
     reference [3]).
 
-    Verdicts are three-valued. [Holds] from a bounded solver means "no
-    counterexample found within the search budget" for properties whose
-    violation search is satisfiability-based; properties that are
+    Verdicts are three-valued. For properties whose violation search is
+    satisfiability-based, [Violated] means a violating model was found and
+    [Holds] means every violation query the property posed was refuted.
+    When nothing is violated but the bounded solver gave up on some query
+    ([Solver.Unknown]), the verdict is [Unknown], never [Holds], and its
+    detail says how many queries are unresolved. Properties that are
     structural over the explored paths (e.g. {!rejected_are_dropped}) are
     exact. Each [Violated] verdict carries a concrete witness packet that
     drives the program down the violating path — these witnesses are what
@@ -22,7 +25,9 @@ type finding = {
 }
 
 val assertions : ?seed:int -> P4ir.Ast.program -> P4ir.Runtime.t -> finding list
-(** One finding per [Assert] message in the program. *)
+(** One finding per [Assert] message in the program: [Violated] when some
+    obligation's negation is satisfiable, else [Unknown] when some
+    obligation's search gave up, else [Holds]. *)
 
 val rejected_are_dropped : P4ir.Ast.program -> P4ir.Runtime.t -> finding
 (** The Section-4 property: every path that reaches parser [reject] ends
@@ -57,7 +62,8 @@ val no_invalid_header_reads :
   ?seed:int -> P4ir.Ast.program -> P4ir.Runtime.t -> finding
 (** No reachable path reads a field of a header that was never parsed or
     was invalidated — such reads silently yield zero and almost always
-    indicate a missing validity guard. *)
+    indicate a missing validity guard. [Unknown] when no such path is
+    proved reachable but the search gave up on some. *)
 
 val action_coverage : P4ir.Ast.program -> P4ir.Runtime.t -> finding list
 (** Per table: which declared actions are exercised on some explored path

@@ -192,11 +192,50 @@ let known_bits flat =
     flat;
   if !contradiction then None else Some known
 
+(* Unsigned bounds: a literal [v ⋈ c], or its negation, confines [v] to
+   an interval. Literals about one variable whose intervals do not meet
+   refute the conjunction: a TTL asserted positive on a path that
+   already required it above 1. *)
+let bounds_conflict flat =
+  let bounds : (int, int64 * int64) Hashtbl.t = Hashtbl.create 8 in
+  let below a b = Int64.unsigned_compare a b < 0 in
+  (* narrow [v] to [lo, hi]: true when nothing is left *)
+  let within (v : Sym.var) lo hi =
+    let lo0, hi0 =
+      Option.value (Hashtbl.find_opt bounds v.Sym.v_id) ~default:(0L, full_mask v.Sym.v_width)
+    in
+    let lo = if below lo0 lo then lo else lo0 and hi = if below hi hi0 then hi else hi0 in
+    Hashtbl.replace bounds v.Sym.v_id (lo, hi);
+    below hi lo
+  in
+  let fact (op : Ast.binop) v c =
+    match op with
+    | Ast.Eq -> within v c c
+    | Ast.Lt -> c = 0L || within v 0L (Int64.pred c)
+    | Ast.Le -> within v 0L c
+    | Ast.Gt -> c = -1L || within v (Int64.succ c) (-1L)
+    | Ast.Ge -> within v c (-1L)
+    | _ -> false
+  in
+  let negated (op : Ast.binop) : Ast.binop =
+    match op with Ast.Lt -> Ast.Ge | Ast.Le -> Ast.Gt | Ast.Gt -> Ast.Le | _ -> Ast.Lt
+  in
+  List.exists
+    (fun lit ->
+      match lit with
+      | Sym.Bin (op, Sym.Var v, Sym.Const c) -> fact op v (Value.to_int64 c)
+      | Sym.Un (Ast.LNot, Sym.Bin (((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), Sym.Var v, Sym.Const c))
+        ->
+          fact (negated op) v (Value.to_int64 c)
+      | _ -> false)
+    flat
+
 let quick_unsat constraints =
   let flat = List.concat_map conjuncts constraints in
   (* phase 1: merge positive facts into known bits *)
   match known_bits flat with
   | None -> true
+  | Some _ when bounds_conflict flat -> true
   | Some known -> begin
     (* phase 2: is the truth of an equality shape determined by the known
        bits? *)
@@ -271,67 +310,113 @@ let solve ?(seed = 0x5EED) ?(max_tries = 20000) ?(use_mining = true) constraints
               | _, _ -> ())
             known
     end;
-    let var_ids = Hashtbl.fold (fun id _ acc -> id :: acc) widths [] |> List.sort compare in
-    let cand_arrays =
-      List.map
+    let var_ids =
+      Hashtbl.fold (fun id _ acc -> id :: acc) widths [] |> List.sort compare |> Array.of_list
+    in
+    let n = Array.length var_ids in
+    let var_widths = Array.map (Hashtbl.find widths) var_ids in
+    let cands =
+      Array.map
         (fun id ->
-          let tbl = Hashtbl.find candidates id in
-          let arr = Hashtbl.fold (fun v () acc -> v :: acc) tbl [] |> Array.of_list in
-          (id, Hashtbl.find widths id, arr))
+          Hashtbl.fold (fun v () acc -> v :: acc) (Hashtbl.find candidates id) []
+          |> Array.of_list)
         var_ids
     in
+    (* The dense model: slot [d] holds the value of [var_ids.(d)]. Every
+       candidate and every random draw is already masked to its
+       variable's width, as the compiled checks require. Each constraint
+       is compiled once and filed under the depth of its last variable,
+       so both phases test it as soon as that variable is assigned. *)
+    let model = Array.make n 0L in
+    let slot =
+      let slots = Hashtbl.create n in
+      Array.iteri (fun d id -> Hashtbl.replace slots id d) var_ids;
+      Hashtbl.find slots
+    in
+    let ground = ref [] and filed = Array.make n [] in
+    List.iter
+      (fun c ->
+        let check = Sym.compile slot c in
+        match Sym.vars c with
+        | [] -> ground := check :: !ground
+        | vs ->
+            let d = List.fold_left (fun d (v : Sym.var) -> max d (slot v.Sym.v_id)) 0 vs in
+            filed.(d) <- check :: filed.(d))
+      (List.rev constraints);
+    let filed = Array.map Array.of_list filed in
+    let holds_at d =
+      let checks = filed.(d) in
+      let rec go k = k = Array.length checks || (checks.(k) model && go (k + 1)) in
+      go 0
+    in
+    (* a found model, rebuilt as a [model] and re-verified by [holds]
+       (the [Sym.eval] reference) before it is returned *)
+    let found () =
+      let m = Hashtbl.create 16 in
+      Array.iteri
+        (fun d id -> Hashtbl.replace m id (Value.make ~width:var_widths.(d) model.(d)))
+        var_ids;
+      if not (holds m constraints) then
+        failwith "Solver.solve: a compiled check disagrees with Sym.eval";
+      Sat m
+    in
     let prng = Prng.create seed in
-    let model = Hashtbl.create 16 in
     (* Phase 1: when the mined candidate space is small enough, walk the
        whole Cartesian product systematically — deterministic and complete
        over the mined values (conjunctions over several constrained
        variables are found immediately instead of waiting for a lucky
-       joint sample). *)
+       joint sample). A constraint that fails on a partial assignment
+       fails on every completion of it, so pruning there skips only
+       subtrees without a solution: the first model found is the one a
+       walk of every leaf finds. *)
     let product =
-      List.fold_left
-        (fun acc (_, _, arr) ->
-          if acc > max_tries then acc else acc * max 1 (Array.length arr))
-        1 cand_arrays
+      Array.fold_left
+        (fun acc arr -> if acc > max_tries then acc else acc * max 1 (Array.length arr))
+        1 cands
     in
-    let enumerate () =
-      let vars = Array.of_list cand_arrays in
-      let n = Array.length vars in
-      let rec assign i =
-        if i = n then holds model constraints
-        else begin
-          let id, w, arr = vars.(i) in
-          let rec try_cand j =
-            j < Array.length arr
-            && begin
-                 Hashtbl.replace model id (Value.make ~width:w arr.(j));
-                 assign (i + 1) || try_cand (j + 1)
-               end
-          in
-          try_cand 0
-        end
+    let rec assign d =
+      d = n
+      ||
+      let arr = cands.(d) in
+      let rec try_cand j =
+        j < Array.length arr
+        && begin
+             model.(d) <- arr.(j);
+             (holds_at d && assign (d + 1)) || try_cand (j + 1)
+           end
       in
-      Hashtbl.reset model;
-      assign 0
+      try_cand 0
     in
     (* Phase 2: randomized sampling mixing mined candidates with fully
-       random values (covers constraints whose solutions are not mined). *)
+       random values (covers constraints whose solutions are not mined).
+       A try draws once per variable, in slot order, and stops at the
+       first failing constraint; it then skips the draws it did not
+       make, so every try starts from the state a full try leaves. *)
     let try_once i =
-      Hashtbl.reset model;
-      List.iter
-        (fun (id, w, arr) ->
-          let raw =
-            if Array.length arr > 0 && (i mod 4 <> 3 || Array.length arr > 16) then
-              Prng.choose prng arr
-            else Prng.bits prng ~width:w
-          in
-          Hashtbl.replace model id (Value.make ~width:w raw))
-        cand_arrays;
-      holds model constraints
+      let rec draw d =
+        d = n
+        ||
+        let arr = cands.(d) in
+        model.(d) <-
+          (if Array.length arr > 0 && (i mod 4 <> 3 || Array.length arr > 16) then
+             Prng.choose prng arr
+           else Prng.bits prng ~width:var_widths.(d));
+        if holds_at d then draw (d + 1)
+        else begin
+          Prng.advance prng (n - d - 1);
+          false
+        end
+      in
+      draw 0
     in
     let rec search i =
       if i >= max_tries then Unknown
-      else if try_once i then Sat (Hashtbl.copy model)
+      else if try_once i then found ()
       else search (i + 1)
     in
-    if product <= max_tries && enumerate () then Sat (Hashtbl.copy model) else search 0
+    (* constraints without variables are decided once, before either
+       phase: a false one fails every try *)
+    if not (List.for_all (fun check -> check model) !ground) then Unknown
+    else if product <= max_tries && assign 0 then found ()
+    else search 0
   end

@@ -275,6 +275,125 @@ let rec eval lookup = function
   | Slice (a, msb, lsb) -> Value.slice (eval lookup a) ~msb ~lsb
   | Concat (a, b) -> Value.concat (eval lookup a) (eval lookup b)
 
+(* ---------------- compiled evaluation ----------------
+
+   A model is an [int64 array]: variable [id] reads slot [slot id],
+   holding its value masked to its width. The literal shapes path
+   conditions are made of ([v ⋈ c], [(v & m) == c], [(v >> s) == c]
+   under [!], [&&] and [||]) read their slot and allocate nothing. Every
+   other node computes on raw [int64]s with [Value]'s semantics, and
+   raises the same [Invalid_argument] where [eval] would. Operands are
+   evaluated right to left, as [eval]'s arguments are. *)
+
+let mask_of w = if w >= 64 then -1L else Int64.sub (Int64.shift_left 1L w) 1L
+
+(* unsigned order on int64: flip the sign bit of both sides *)
+let bias x = Int64.add x Int64.min_int
+
+(* [Value.to_int] of a shift amount *)
+let shift_amount x =
+  if x < 0L || x > Int64.of_int max_int then invalid_arg "Value.to_int: overflow";
+  Int64.to_int x
+
+let rec compile_value slot e : int64 array -> int64 =
+  match e with
+  | Const c ->
+      let c = Value.to_int64 c in
+      fun _ -> c
+  | Var v ->
+      let s = slot v.v_id in
+      fun m -> m.(s)
+  | Bin ((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.LAnd | Ast.LOr), _, _)
+  | Un (Ast.LNot, _) ->
+      let p = compile_pred slot e in
+      fun m -> if p m then 1L else 0L
+  | Bin (op, a, b) -> (
+      let fa = compile_value slot a and fb = compile_value slot b in
+      let mask = mask_of (width a) in
+      match op with
+      | Ast.Add -> fun m -> let y = fb m in Int64.logand (Int64.add (fa m) y) mask
+      | Ast.Sub -> fun m -> let y = fb m in Int64.logand (Int64.sub (fa m) y) mask
+      | Ast.Mul -> fun m -> let y = fb m in Int64.logand (Int64.mul (fa m) y) mask
+      | Ast.BAnd -> fun m -> let y = fb m in Int64.logand (Int64.logand (fa m) y) mask
+      | Ast.BOr -> fun m -> let y = fb m in Int64.logand (Int64.logor (fa m) y) mask
+      | Ast.BXor -> fun m -> let y = fb m in Int64.logand (Int64.logxor (fa m) y) mask
+      | Ast.Shl ->
+          fun m ->
+            let y = fb m in
+            let x = fa m in
+            let n = shift_amount y in
+            if n >= 64 then 0L else Int64.logand (Int64.shift_left x n) mask
+      | Ast.Shr ->
+          fun m ->
+            let y = fb m in
+            let x = fa m in
+            let n = shift_amount y in
+            if n >= 64 then 0L else Int64.shift_right_logical x n
+      | Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.LAnd | Ast.LOr ->
+          assert false (* matched above *))
+  | Un (Ast.BNot, a) ->
+      let fa = compile_value slot a and mask = mask_of (width a) in
+      fun m -> Int64.logand (Int64.lognot (fa m)) mask
+  | Slice (a, msb, lsb) ->
+      let fa = compile_value slot a in
+      if lsb < 0 || msb < lsb || msb >= width a then fun m ->
+        ignore (fa m);
+        invalid_arg "Value.slice"
+      else
+        let mask = mask_of (msb - lsb + 1) in
+        fun m -> Int64.logand (Int64.shift_right_logical (fa m) lsb) mask
+  | Concat (a, b) ->
+      let fa = compile_value slot a and fb = compile_value slot b and wb = width b in
+      if width a + wb > 64 then fun m ->
+        ignore (fb m);
+        ignore (fa m);
+        invalid_arg "Value.concat: width"
+      else fun m -> let y = fb m in Int64.logor (Int64.shift_left (fa m) wb) y
+
+and compile_pred slot e : int64 array -> bool =
+  match e with
+  | Bin (Ast.LAnd, a, b) ->
+      let pa = compile_pred slot a and pb = compile_pred slot b in
+      fun m -> pa m && pb m
+  | Bin (Ast.LOr, a, b) ->
+      let pa = compile_pred slot a and pb = compile_pred slot b in
+      fun m -> pa m || pb m
+  | Un (Ast.LNot, a) ->
+      let pa = compile_pred slot a in
+      fun m -> not (pa m)
+  | Bin (Ast.Eq, Bin (Ast.BAnd, Var v, Const mk), Const c) ->
+      let s = slot v.v_id and c = Value.to_int64 c in
+      let mk = Int64.logand (Value.to_int64 mk) (mask_of v.v_width) in
+      fun m -> Int64.logand m.(s) mk = c
+  | Bin (Ast.Eq, Bin (Ast.Shr, Var v, Const sh), Const c)
+    when Value.to_int64 sh >= 0L && Value.to_int64 sh < 64L ->
+      let s = slot v.v_id and c = Value.to_int64 c and n = Int64.to_int (Value.to_int64 sh) in
+      fun m -> Int64.shift_right_logical m.(s) n = c
+  | Bin (((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), Var v, Const c) -> (
+      let s = slot v.v_id and c = Value.to_int64 c in
+      let bc = bias c in
+      match op with
+      | Ast.Eq -> fun m -> m.(s) = c
+      | Ast.Neq -> fun m -> m.(s) <> c
+      | Ast.Lt -> fun m -> bias m.(s) < bc
+      | Ast.Le -> fun m -> bias m.(s) <= bc
+      | Ast.Gt -> fun m -> bias m.(s) > bc
+      | _ -> fun m -> bias m.(s) >= bc)
+  | Bin (((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), a, b) -> (
+      let fa = compile_value slot a and fb = compile_value slot b in
+      match op with
+      | Ast.Eq -> fun m -> let y = fb m in fa m = y
+      | Ast.Neq -> fun m -> let y = fb m in fa m <> y
+      | Ast.Lt -> fun m -> let y = fb m in bias (fa m) < bias y
+      | Ast.Le -> fun m -> let y = fb m in bias (fa m) <= bias y
+      | Ast.Gt -> fun m -> let y = fb m in bias (fa m) > bias y
+      | _ -> fun m -> let y = fb m in bias (fa m) >= bias y)
+  | e ->
+      let f = compile_value slot e in
+      fun m -> f m <> 0L
+
+let compile slot e = compile_pred slot e
+
 (* physical first — interned terms of one session hit it — with the
    structural fallback for terms built across sessions or by hand *)
 let equal a b = a == b || a = b

@@ -71,6 +71,17 @@ val eval : (int -> P4ir.Value.t) -> t -> P4ir.Value.t
     operators short-circuit, so irrelevant branches are never evaluated.
     @raise Not_found if the assignment misses a variable. *)
 
+val compile : (int -> int) -> t -> int64 array -> bool
+(** [compile slot e] compiles the width-1 term [e] once into a predicate
+    over a dense model: variable [id] reads [model.(slot id)], which
+    must hold its value masked to the variable's width. The result
+    agrees with [Value.to_bool (eval lookup e)] under the same
+    assignment, and raises the same [Invalid_argument] where {!eval}
+    does. Comparisons of a variable with a constant, directly, under a
+    constant mask or a constant right shift, and their combinations
+    under [!], [&&] and [||], allocate nothing.
+    @raise Not_found (from [slot]) if a variable has no slot. *)
+
 val equal : t -> t -> bool
 (** Structural equality (after construction-time simplification), with a
     constant-time physical fast path for terms interned in the same

@@ -49,6 +49,22 @@ let test_prng_float_range () =
     if f < 0.0 || f >= 3.5 then Alcotest.failf "float out of range: %f" f
   done
 
+(* skipping n draws lands exactly where n real draws do, so the stream
+   that follows is the same *)
+let test_prng_advance () =
+  List.iter
+    (fun n ->
+      let drawn = Prng.create 99 and skipped = Prng.create 99 in
+      for _ = 1 to n do
+        ignore (Prng.next_int64 drawn)
+      done;
+      Prng.advance skipped n;
+      for _ = 1 to 8 do
+        check_i64 (Printf.sprintf "draw after skipping %d" n) (Prng.next_int64 drawn)
+          (Prng.next_int64 skipped)
+      done)
+    [ 0; 1; 17 ]
+
 (* ---------------- Bitstring ---------------- *)
 
 let test_of_int64_roundtrip () =
@@ -329,6 +345,7 @@ let () =
           Alcotest.test_case "bits width" `Quick test_prng_bits_width;
           Alcotest.test_case "split independence" `Quick test_prng_split_independent;
           Alcotest.test_case "float range" `Quick test_prng_float_range;
+          Alcotest.test_case "advance skips draws" `Quick test_prng_advance;
         ] );
       ( "bitstring",
         [

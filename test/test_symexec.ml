@@ -76,6 +76,161 @@ let test_sym_interning () =
   let c = Sym.bin Ast.Add x (Sym.of_int ~width:8 3) in
   check_bool "post-reset terms still compare equal" true (Sym.equal a c)
 
+(* ---------------- compiled kernel ---------------- *)
+
+(* Well-typed width-1 terms over 1–4 variables of width 1–64, built with
+   the bare constructors so no simplification hides a shape: every
+   binop and unop, slices, concatenations up to 64 bits, shifts by
+   constant and by variable amounts, and the literal shapes the kernel
+   specializes. Constants are drawn from edge values and from the
+   model's own values, so comparisons hit as well as miss. *)
+type kernel_case = { k_vars : Sym.var array; k_values : int64 array; k_term : Sym.t }
+
+let mask_of w = if w >= 64 then -1L else Int64.(sub (shift_left 1L w) 1L)
+
+let gen_kernel_case =
+  let open QCheck.Gen in
+  let* k_vars =
+    let* n = int_range 1 4 in
+    flatten_l
+      (List.init n (fun i ->
+           let* w = frequency [ (2, int_range 1 64); (1, return 64); (1, return 1) ] in
+           match Sym.fresh_var ~name:(Printf.sprintf "k%d" i) ~width:w with
+           | Sym.Var v -> return v
+           | _ -> assert false))
+    >|= Array.of_list
+  in
+  let* k_values =
+    flatten_l
+      (Array.to_list
+         (Array.map
+            (fun (v : Sym.var) ->
+              let edge = oneofl [ 0L; -1L; Int64.min_int; 0x4000000000000000L; 1L; 63L; 64L ] in
+              frequency [ (2, edge); (3, ui64); (1, map Int64.of_int (int_bound 70)) ]
+              >|= Int64.logand (mask_of v.Sym.v_width))
+            k_vars))
+    >|= Array.of_list
+  in
+  let bits =
+    frequency
+      [
+        (2, oneofa k_values);
+        (1, map2 Int64.shift_right_logical (oneofa k_values) (int_bound 63));
+        (2, oneofl [ 0L; 1L; -1L; Int64.min_int; 0x4000000000000000L; 0x3FFFFFFFFFFFFFFFL ]);
+        (2, map Int64.of_int (int_bound 70));
+        (1, ui64);
+      ]
+  in
+  let const w = bits >|= fun x -> Sym.Const (Value.make ~width:w x) in
+  let var = oneofa k_vars in
+  (* a term of width [w] over one variable: itself, a slice of it, or it
+     zero-extended by a constant on top *)
+  let var_term w =
+    var >>= fun (v : Sym.var) ->
+    if v.Sym.v_width = w then return (Sym.Var v)
+    else if v.Sym.v_width > w then
+      int_bound (v.Sym.v_width - w) >|= fun lsb -> Sym.Slice (Sym.Var v, lsb + w - 1, lsb)
+    else const (w - v.Sym.v_width) >|= fun hi -> Sym.Concat (hi, Sym.Var v)
+  in
+  let arith = [| Ast.Add; Ast.Sub; Ast.Mul; Ast.BAnd; Ast.BOr; Ast.BXor |] in
+  let cmps = [| Ast.Eq; Ast.Neq; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge |] in
+  let rec value w d =
+    let leaf = frequency [ (2, const w); (3, var_term w) ] in
+    if d = 0 then leaf
+    else
+      frequency
+        ([
+           (2, leaf);
+           (3, map3 (fun op a b -> Sym.Bin (op, a, b)) (oneofa arith) (value w (d - 1)) (value w (d - 1)));
+           ( 2,
+             let* op = oneofl [ Ast.Shl; Ast.Shr ] in
+             let* a = value w (d - 1) in
+             let* amount =
+               frequency
+                 [
+                   (2, int_range 1 64 >>= const);
+                   (2, int_range 1 64 >>= var_term);
+                   (1, int_range 1 64 >>= fun aw -> value aw (d - 1));
+                 ]
+             in
+             return (Sym.Bin (op, a, amount)) );
+           (1, value w (d - 1) >|= fun a -> Sym.Un (Ast.BNot, a));
+           ( 1,
+             let* extra = int_bound (64 - w) in
+             let* lsb = int_bound extra in
+             let* a = value (w + extra) (d - 1) in
+             return (Sym.Slice (a, lsb + w - 1, lsb)) );
+         ]
+        @ (if w >= 2 then
+             [
+               ( 1,
+                 let* wa = int_range 1 (w - 1) in
+                 map2 (fun a b -> Sym.Concat (a, b)) (value wa (d - 1)) (value (w - wa) (d - 1)) );
+             ]
+           else [])
+        @ if w = 1 then [ (2, pred (d - 1)) ] else [])
+  and pred d =
+    let literal =
+      let* (v : Sym.var) = var in
+      let x = Sym.Var v and w = v.Sym.v_width in
+      frequency
+        [
+          (2, map2 (fun op c -> Sym.Bin (op, x, c)) (oneofa cmps) (const w));
+          ( 1,
+            map2
+              (fun m c -> Sym.Bin (Ast.Eq, Sym.Bin (Ast.BAnd, x, m), c))
+              (const w) (const w) );
+          ( 1,
+            map2
+              (fun s c -> Sym.Bin (Ast.Eq, Sym.Bin (Ast.Shr, x, s), c))
+              (oneofl [ 8; 64 ] >>= const) (const w) );
+        ]
+    in
+    let compare =
+      let* w = int_range 1 64 in
+      map3 (fun op a b -> Sym.Bin (op, a, b)) (oneofa cmps) (value w d) (value w d)
+    in
+    if d = 0 then frequency [ (3, literal); (1, compare); (1, var_term 1) ]
+    else
+      frequency
+        [
+          (3, literal);
+          (3, compare);
+          (2, map3 (fun op a b -> Sym.Bin (op, a, b)) (oneofl [ Ast.LAnd; Ast.LOr ]) (pred (d - 1)) (pred (d - 1)));
+          (1, pred (d - 1) >|= fun a -> Sym.Un (Ast.LNot, a));
+          (1, value 1 d);
+        ]
+  in
+  let* k_term = int_range 0 3 >>= pred in
+  return { k_vars; k_values; k_term }
+
+let print_kernel_case c =
+  Format.asprintf "%a under %s" Sym.pp c.k_term
+    (String.concat ", "
+       (Array.to_list
+          (Array.mapi
+             (fun i (v : Sym.var) -> Printf.sprintf "%s#%d=0x%Lx" v.Sym.v_name v.Sym.v_id c.k_values.(i))
+             c.k_vars)))
+
+let prop_compile_matches_eval =
+  QCheck.Test.make ~count:3000 ~name:"compiled kernel agrees with Sym.eval"
+    (QCheck.make ~print:print_kernel_case gen_kernel_case)
+    (fun c ->
+      let slot id =
+        let rec find i = if c.k_vars.(i).Sym.v_id = id then i else find (i + 1) in
+        find 0
+      in
+      let lookup id =
+        let i = slot id in
+        Value.make ~width:c.k_vars.(i).Sym.v_width c.k_values.(i)
+      in
+      let outcome f = match f () with b -> `Bool b | exception Invalid_argument _ -> `Invalid in
+      let reference = outcome (fun () -> Value.to_bool (Sym.eval lookup c.k_term)) in
+      let compiled = outcome (fun () -> Sym.compile slot c.k_term c.k_values) in
+      let show = function `Bool b -> string_of_bool b | `Invalid -> "Invalid_argument" in
+      reference = compiled
+      || QCheck.Test.fail_reportf "eval says %s, compile says %s" (show reference) (show compiled))
+
 (* ---------------- Solver ---------------- *)
 
 let var w name = Sym.fresh_var ~name ~width:w
@@ -184,6 +339,25 @@ let test_solver_unsat_detection () =
   match Solver.solve [ masked; shifted ] with
   | Solver.Sat _ -> ()
   | _ -> Alcotest.fail "consistent pair should be Sat"
+
+(* unsigned bounds that do not meet are a proof: basic_router's assertion
+   obligation (ttl not positive on a path that required ttl above 1) *)
+let test_solver_bounds_refutation () =
+  let ttl = var 8 "ttl" in
+  let c n = Sym.of_int ~width:8 n in
+  let unsat cs =
+    match Solver.solve cs with
+    | Solver.Unsat -> ()
+    | Solver.Sat _ -> Alcotest.fail "contradiction declared Sat"
+    | Solver.Unknown -> Alcotest.fail "should be proved Unsat"
+  in
+  unsat [ Sym.not_ (Sym.bin Ast.Gt ttl (c 0)); Sym.not_ (Sym.bin Ast.Le ttl (c 1)) ];
+  unsat [ Sym.bin Ast.Lt ttl (c 0) ];
+  unsat [ Sym.bin Ast.Gt ttl (c 255) ];
+  unsat [ Sym.bin Ast.Ge ttl (c 10); Sym.bin Ast.Eq ttl (c 9) ];
+  match Solver.solve [ Sym.bin Ast.Ge ttl (c 10); Sym.not_ (Sym.bin Ast.Ge ttl (c 11)) ] with
+  | Solver.Sat m -> check_bool "the one-point interval" true (Solver.holds m [ Sym.bin Ast.Eq ttl (c 10) ])
+  | _ -> Alcotest.fail "ttl = 10 satisfies both bounds"
 
 let test_solver_classifies_all_acl_paths () =
   let b = Programs.acl_firewall in
@@ -324,6 +498,30 @@ let test_assertion_violation_found () =
   match Check.assertions program rt with
   | [ f ] ->
       Alcotest.(check string) "violated" "VIOLATED" (Check.verdict_to_string f.Check.f_verdict)
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+
+(* src = 0xAAAAAAAAAAAD violates the assertion (·3 mod 2^48 = 7), but no
+   mined candidate or random draw finds it: a search that gives up must
+   say Unknown, never Holds *)
+let test_assertion_unresolved_is_unknown () =
+  let program =
+    {
+      Programs.reflector.Programs.program with
+      Ast.p_name = "mul_assert";
+      p_ingress =
+        [
+          Dsl.assert_
+            Dsl.(Ast.Bin (Ast.Mul, fld "eth" "src", const ~width:48 3) <>: const ~width:48 7)
+            "src times three is never seven";
+          Dsl.set_std Ast.Egress_spec (Dsl.std Ast.Ingress_port);
+        ];
+    }
+  in
+  match Check.assertions program (Runtime.create ()) with
+  | [ f ] ->
+      Alcotest.(check string) "unresolved" "UNKNOWN" (Check.verdict_to_string f.Check.f_verdict);
+      Alcotest.(check string) "detail counts the obligations"
+        "1 of 1 obligation(s) unresolved within the search budget" f.Check.f_detail
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 let test_assertion_holds_on_router () =
@@ -545,6 +743,7 @@ let () =
           Alcotest.test_case "eval" `Quick test_sym_eval;
           Alcotest.test_case "vars dedup" `Quick test_sym_vars_dedup;
           Alcotest.test_case "interning" `Quick test_sym_interning;
+          QCheck_alcotest.to_alcotest prop_compile_matches_eval;
         ] );
       ( "solver",
         [
@@ -554,6 +753,7 @@ let () =
           Alcotest.test_case "conjunction" `Quick test_solver_conjunction_and_negation;
           Alcotest.test_case "trivial cases" `Quick test_solver_trivial;
           Alcotest.test_case "unsat detection" `Quick test_solver_unsat_detection;
+          Alcotest.test_case "bounds refutation" `Quick test_solver_bounds_refutation;
           Alcotest.test_case "acl paths fully classified" `Quick
             test_solver_classifies_all_acl_paths;
           QCheck_alcotest.to_alcotest prop_solver_sound;
@@ -572,6 +772,8 @@ let () =
             test_ttl_property_distinguishes_buggy_router;
           Alcotest.test_case "forward requires ipv4" `Quick test_forward_requires_ipv4;
           Alcotest.test_case "assertion violation found" `Quick test_assertion_violation_found;
+          Alcotest.test_case "unresolved assertion is unknown" `Quick
+            test_assertion_unresolved_is_unknown;
           Alcotest.test_case "router assertions hold" `Quick test_assertion_holds_on_router;
           Alcotest.test_case "action coverage" `Quick test_action_coverage;
           Alcotest.test_case "dead action detected" `Quick test_dead_action_detected;
