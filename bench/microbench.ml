@@ -1,4 +1,4 @@
-(* Microbenchmarks: one row per cost table in EXPERIMENTS.md (B2-B19).
+(* Microbenchmarks: one row per cost table in EXPERIMENTS.md (B2-B20).
    Every row is timed by [interleaved_rows]: one loop, one clock, and
    allocation read from the Gc counters of every domain the row runs on. *)
 
@@ -117,6 +117,7 @@ let b16 = "netdebug/B16 fabric: forward one packet, co-simulated fabric"
 let b17 = "netdebug/B17 testgen: path-covering vectors for basic_router"
 let b18 = "netdebug/B18 sampler: one busy-window sample (Gc-counted)"
 let b19 = "netdebug/B19 net route: predict one fat-tree:6 pair's path (Gc-counted)"
+let b20 = "netdebug/B20 testgen: path-covering vectors for acl_firewall (Gc-counted)"
 let b13a jobs = Printf.sprintf "netdebug/B13a fuzz campaign amortized per exec, jobs=%d, async" jobs
 
 (* A basic_router device with its routes installed, and the untimed step
@@ -326,6 +327,19 @@ let b17_row () =
       ignore
         (Symexec.Testgen.generate ~ingress_port:Netdebug.Harness.generator_port basic_router rt))
 
+(* B20: the same pipeline on acl_firewall, whose hardened solves exceed
+   the systematic walk's budget and run the random phase. *)
+let b20_row () =
+  let b = Programs.acl_firewall in
+  let rt = Runtime.create () in
+  (match Runtime.install_all b.Programs.program rt b.Programs.entries with
+  | Ok () -> ()
+  | Error e -> failwith e);
+  row b20 1 (fun () ->
+      ignore
+        (Symexec.Testgen.generate ~ingress_port:Netdebug.Harness.generator_port
+           b.Programs.program rt))
+
 (* B12b: one oracle execution amortized inside a batch of 64 — direct
    injection, staged raw render, one quiesce per batch: the hot path the
    fuzz campaign's shard windows ride. *)
@@ -365,6 +379,7 @@ let groups =
     (1_200, other_rows);
     (40, fun () -> [ b12b_row () ]);
     (40, fun () -> [ b17_row () ]);
+    (40, fun () -> [ b20_row () ]);
     (1_200, big_table_rows);
   ]
 
@@ -450,8 +465,17 @@ let absolute_gates =
        The ns ceiling is deliberately loose — the words are the signal *)
     (b6a, `Mean, 150_000.0, Some 6_500.0, "B6a explore allocation");
     (* 8 paths well under 20 ms keeps `testgen --check` a sub-second CI
-       smoke even with the device sweep on top *)
-    (b17, `Mean, 20_000_000.0, None, "B17 full testgen");
+       smoke even with the device sweep on top. Every basic_router path
+       is found by the systematic walk, which the compiled checks prune
+       without allocating: ~35k words and ~0.2 ms, against 1.44M words
+       and ~5 ms when every candidate leaf was re-evaluated through
+       boxed values *)
+    (b17, `Mean, 20_000_000.0, Some 100_000.0, "B17 full testgen");
+    (* acl_firewall's hardened solves run the random phase: a try stops
+       at its first failing constraint and skips its remaining draws.
+       ~5–6 ms and ~2.1M words, against ~49 ms and 11.3M words with a
+       full draw and a boxed re-evaluation per try *)
+    (b20, `Mean, 40_000_000.0, Some 3_000_000.0, "B20 acl_firewall testgen");
     (* one execution inside a batch of 64 stays under 15 µs, the budget
        the async campaign's throughput is built on; the words ceiling
        pins the staged raw render's allocation profile *)
