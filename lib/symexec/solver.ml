@@ -217,15 +217,21 @@ let bounds_conflict flat =
     | Ast.Ge -> within v c (-1L)
     | _ -> false
   in
+  (* the negation of an order literal is an order literal; any other
+     negation ([!(v == c)]) bounds nothing *)
   let negated (op : Ast.binop) : Ast.binop =
-    match op with Ast.Lt -> Ast.Ge | Ast.Le -> Ast.Gt | Ast.Gt -> Ast.Le | _ -> Ast.Lt
+    match op with
+    | Ast.Lt -> Ast.Ge
+    | Ast.Le -> Ast.Gt
+    | Ast.Gt -> Ast.Le
+    | Ast.Ge -> Ast.Lt
+    | _ -> Ast.Neq
   in
   List.exists
     (fun lit ->
       match lit with
       | Sym.Bin (op, Sym.Var v, Sym.Const c) -> fact op v (Value.to_int64 c)
-      | Sym.Un (Ast.LNot, Sym.Bin (((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), Sym.Var v, Sym.Const c))
-        ->
+      | Sym.Un (Ast.LNot, Sym.Bin (op, Sym.Var v, Sym.Const c)) ->
           fact (negated op) v (Value.to_int64 c)
       | _ -> false)
     flat

@@ -2,13 +2,30 @@
     expressions.
 
     The solver is {e sound for SAT}: a returned model is always verified
-    against every constraint before being reported. It is incomplete for
-    UNSAT — when the search budget is exhausted it answers [Unknown] (except
-    for trivially false constraint sets). This is the right trade-off for a
-    verification tool whose job is to {e find counterexamples}: candidate
-    values are mined from the constants that appear in the constraints
-    (select cases, table entries, comparison bounds), so realistic
-    data-plane path conditions are solved in a few thousand tries. *)
+    against every constraint by {!holds} (the {!Sym.eval} reference)
+    before being reported. It is incomplete for UNSAT — it answers
+    [Unsat] only when known bits or unsigned bounds gathered from the
+    literals contradict each other, and [Unknown] when [max_tries]
+    random tries find no model. This is the right trade-off for a
+    verification tool whose job is to {e find counterexamples}:
+    candidate values are mined from the constants that appear in the
+    constraints (select cases, table entries, comparison bounds), so
+    realistic data-plane path conditions are solved in a few thousand
+    tries.
+
+    The search runs on compiled checks: each constraint is compiled once
+    per call ({!Sym.compile}) over a dense model whose slots follow the
+    variables' ids, and filed under the slot of its last variable. A
+    constraint without variables is decided once, before the search.
+    When the mined candidates' product fits [max_tries], a systematic
+    walk assigns the variables in order and tests each constraint as
+    soon as its last variable is set, pruning only subtrees that hold no
+    model, so it finds the first model in walk order. Otherwise, and
+    when the walk fails, each random try draws one value per variable in
+    the same order, stops at the first failing constraint and skips the
+    draws it did not make ({!Bitutil.Prng.advance}), so the generator's
+    stream, and hence the model found for a seed, is that of a full
+    draw per try. *)
 
 type model
 
