@@ -331,10 +331,7 @@ let b17_row () =
    the systematic walk's budget and run the random phase. *)
 let b20_row () =
   let b = Programs.acl_firewall in
-  let rt = Runtime.create () in
-  (match Runtime.install_all b.Programs.program rt b.Programs.entries with
-  | Ok () -> ()
-  | Error e -> failwith e);
+  let rt = Netdebug.Usecases.Functional.oracle_runtime b in
   row b20 1 (fun () ->
       ignore
         (Symexec.Testgen.generate ~ingress_port:Netdebug.Harness.generator_port
@@ -466,15 +463,14 @@ let absolute_gates =
     (b6a, `Mean, 150_000.0, Some 6_500.0, "B6a explore allocation");
     (* 8 paths well under 20 ms keeps `testgen --check` a sub-second CI
        smoke even with the device sweep on top. Every basic_router path
-       is found by the systematic walk, which the compiled checks prune
-       without allocating: ~35k words and ~0.2 ms, against 1.44M words
-       and ~5 ms when every candidate leaf was re-evaluated through
-       boxed values *)
+       is found by the systematic walk, whose compiled checks allocate
+       nothing (~35k words in all); re-evaluating each candidate leaf
+       through boxed values (1.44M) trips the words ceiling *)
     (b17, `Mean, 20_000_000.0, Some 100_000.0, "B17 full testgen");
     (* acl_firewall's hardened solves run the random phase: a try stops
-       at its first failing constraint and skips its remaining draws.
-       ~5–6 ms and ~2.1M words, against ~49 ms and 11.3M words with a
-       full draw and a boxed re-evaluation per try *)
+       at its first failing constraint and skips its remaining draws
+       (~5–6 ms, ~2.1M words); drawing every variable and re-evaluating
+       each try through boxed values (~49 ms, 11.3M words) trips both *)
     (b20, `Mean, 40_000_000.0, Some 3_000_000.0, "B20 acl_firewall testgen");
     (* one execution inside a batch of 64 stays under 15 µs, the budget
        the async campaign's throughput is built on; the words ceiling

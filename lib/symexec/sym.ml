@@ -305,7 +305,7 @@ let rec compile_value slot e : int64 array -> int64 =
       fun m -> m.(s)
   | Bin ((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.LAnd | Ast.LOr), _, _)
   | Un (Ast.LNot, _) ->
-      let p = compile_pred slot e in
+      let p = compile slot e in
       fun m -> if p m then 1L else 0L
   | Bin (op, a, b) -> (
       let fa = compile_value slot a and fb = compile_value slot b in
@@ -350,20 +350,19 @@ let rec compile_value slot e : int64 array -> int64 =
         invalid_arg "Value.concat: width"
       else fun m -> let y = fb m in Int64.logor (Int64.shift_left (fa m) wb) y
 
-and compile_pred slot e : int64 array -> bool =
+and compile slot e : int64 array -> bool =
   match e with
   | Bin (Ast.LAnd, a, b) ->
-      let pa = compile_pred slot a and pb = compile_pred slot b in
+      let pa = compile slot a and pb = compile slot b in
       fun m -> pa m && pb m
   | Bin (Ast.LOr, a, b) ->
-      let pa = compile_pred slot a and pb = compile_pred slot b in
+      let pa = compile slot a and pb = compile slot b in
       fun m -> pa m || pb m
   | Un (Ast.LNot, a) ->
-      let pa = compile_pred slot a in
+      let pa = compile slot a in
       fun m -> not (pa m)
   | Bin (Ast.Eq, Bin (Ast.BAnd, Var v, Const mk), Const c) ->
-      let s = slot v.v_id and c = Value.to_int64 c in
-      let mk = Int64.logand (Value.to_int64 mk) (mask_of v.v_width) in
+      let s = slot v.v_id and mk = Value.to_int64 mk and c = Value.to_int64 c in
       fun m -> Int64.logand m.(s) mk = c
   | Bin (Ast.Eq, Bin (Ast.Shr, Var v, Const sh), Const c)
     when Value.to_int64 sh >= 0L && Value.to_int64 sh < 64L ->
@@ -391,8 +390,6 @@ and compile_pred slot e : int64 array -> bool =
   | e ->
       let f = compile_value slot e in
       fun m -> f m <> 0L
-
-let compile slot e = compile_pred slot e
 
 (* physical first — interned terms of one session hit it — with the
    structural fallback for terms built across sessions or by hand *)
