@@ -105,6 +105,17 @@ let test_campaign_faithful_is_clean () =
   check_int "no divergences against a faithful device" 0
     (List.length r.Campaign.rp_divergences)
 
+(* the symbolic oracle's path-covering vectors for [b], as
+   [netdebug testgen --emit-corpus] writes them *)
+let testgen_corpus b =
+  let rt = P4ir.Runtime.create () in
+  (match P4ir.Runtime.install_all b.Programs.program rt b.Programs.entries with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Symexec.Testgen.packets
+    (Symexec.Testgen.generate ~ingress_port:Netdebug.Harness.generator_port
+       b.Programs.program rt)
+
 let test_seed_corpus_reaches_guided_coverage () =
   (* the oracle loop: a corpus of symbolic-execution covering vectors
      must reach the guided campaign's edge count with zero random
@@ -112,15 +123,7 @@ let test_seed_corpus_reaches_guided_coverage () =
      budget = shards * |corpus| replays seeds only — no mutation ever
      runs *)
   let b = Programs.basic_router in
-  let rt = P4ir.Runtime.create () in
-  (match P4ir.Runtime.install_all b.Programs.program rt b.Programs.entries with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  let corpus =
-    Symexec.Testgen.packets
-      (Symexec.Testgen.generate
-         ~ingress_port:Netdebug.Harness.generator_port b.Programs.program rt)
-  in
+  let corpus = testgen_corpus b in
   check_bool "corpus is path-covering" true (List.length corpus >= 8);
   let budget = 8 * List.length corpus in
   let seeded = Campaign.run ~seed_corpus:corpus ~budget ~seed:1 b in
@@ -178,13 +181,48 @@ let test_campaign_rejects_zero_budget () =
     (Invalid_argument "Fuzz.Campaign.run: budget must be positive") (fun () ->
       ignore (Campaign.run ~budget:0 ~seed:1 Programs.basic_router))
 
+let read_file path =
+  let ic = open_in path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
 let test_report_golden () =
   let r = Lazy.force guided in
-  let ic = open_in "fuzz_report.golden" in
-  let n = in_channel_length ic in
-  let golden = really_input_string ic n in
-  close_in ic;
-  check_string "report matches golden" golden (Campaign.render r)
+  check_string "report matches golden" (read_file "fuzz_report.golden") (Campaign.render r)
+
+(* fuzz_digest.golden: one line per configuration, the MD5 of its
+   rendered report at budget 2000 — pins more campaigns than the one
+   full golden, at every jobs value *)
+let test_report_digests () =
+  let configs =
+    [
+      (Programs.basic_router, 1, false);
+      (Programs.basic_router, 2, false);
+      (Programs.basic_router, 3, false);
+      (Programs.acl_firewall, 5, false);
+      (Programs.calc, 5, false);
+      (Programs.parser_guard, 5, false);
+      (Programs.basic_router, 1, true);
+    ]
+  in
+  let digests jobs =
+    String.concat ""
+      (List.map
+         (fun (b, seed, testgen) ->
+           let seed_corpus = if testgen then Some (testgen_corpus b) else None in
+           let r = Campaign.run ?seed_corpus ~jobs ~budget:2000 ~seed b in
+           Printf.sprintf "%s seed %d corpus %s: %s\n" b.Programs.program.P4ir.Ast.p_name
+             seed
+             (if testgen then "testgen" else "templates")
+             (Digest.to_hex (Digest.string (Campaign.render r))))
+         configs)
+  in
+  let golden = read_file "fuzz_digest.golden" in
+  List.iter
+    (fun jobs ->
+      check_string (Printf.sprintf "jobs=%d digests match golden" jobs) golden (digests jobs))
+    [ 1; 4 ]
 
 (* ---------------- batched oracle ---------------- *)
 
@@ -398,6 +436,7 @@ let () =
           Alcotest.test_case "zero budget rejected" `Quick
             test_campaign_rejects_zero_budget;
           Alcotest.test_case "golden report" `Quick test_report_golden;
+          Alcotest.test_case "golden report digests" `Quick test_report_digests;
         ] );
       ( "oracle",
         [
