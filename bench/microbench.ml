@@ -118,7 +118,7 @@ let b17 = "netdebug/B17 testgen: path-covering vectors for basic_router"
 let b18 = "netdebug/B18 sampler: one busy-window sample (Gc-counted)"
 let b19 = "netdebug/B19 net route: predict one fat-tree:6 pair's path (Gc-counted)"
 let b20 = "netdebug/B20 testgen: path-covering vectors for acl_firewall (Gc-counted)"
-let b13a jobs = Printf.sprintf "netdebug/B13a fuzz campaign amortized per exec, jobs=%d, async" jobs
+let b13a jobs = Printf.sprintf "netdebug/B13a fuzz campaign amortized per exec, jobs=%d" jobs
 
 (* A basic_router device with its routes installed, and the untimed step
    that empties its emission list before each round. *)
@@ -390,18 +390,18 @@ let measure (rounds, rows) =
    best of 3 rounds, reported per exec. A round times the whole
    [Campaign.run] call, so it includes joining the pool's worker domains,
    which the campaign's own wall clock leaves out: 1–20 ms of a jobs=4
-   campaign on a 2-core host. It first asserts that the deterministic
-   barrier engine renders byte-identically at jobs=1 and jobs=4; the
-   async rows feed the scaling gates. *)
+   campaign on a 2-core host. It first asserts that the campaign renders
+   byte-identically at jobs=1 and jobs=4; the timed rows feed the
+   scaling gates. *)
 let b13_budget = 10_000
 
 let b13_rows () =
-  let campaign ~deterministic ~jobs =
-    Fuzz.Campaign.run ~jobs ~deterministic ~budget:b13_budget ~seed:1 Programs.basic_router
+  let campaign ~jobs =
+    Fuzz.Campaign.run ~jobs ~budget:b13_budget ~seed:1 Programs.basic_router
   in
-  let render jobs = Fuzz.Campaign.render (campaign ~deterministic:true ~jobs) in
+  let render jobs = Fuzz.Campaign.render (campaign ~jobs) in
   if not (String.equal (render 1) (render 4)) then begin
-    Format.eprintf "FAIL: B13 deterministic jobs=4 report differs from jobs=1@.";
+    Format.eprintf "FAIL: B13 jobs=4 report differs from jobs=1@.";
     exit 1
   end;
   let rows =
@@ -413,13 +413,13 @@ let b13_rows () =
               [
                 { name = b13a jobs; calls = 1; setup = ignore;
                   run = (fun () ->
-                    (campaign ~deterministic:false ~jobs).Fuzz.Campaign.rp_total_executions) };
+                    (campaign ~jobs).Fuzz.Campaign.rp_total_executions) };
               ] ))
       [ 1; 4 ]
   in
   Format.printf
-    "B13 async campaign (%d execs): jobs=1 %.0f execs/s, jobs=4 %.0f execs/s (best rounds); \
-     deterministic reports identical@."
+    "B13 campaign (%d execs): jobs=1 %.0f execs/s, jobs=4 %.0f execs/s (best rounds); \
+     reports identical@."
     b13_budget
     (1e9 /. (List.nth rows 0).ns_best)
     (1e9 /. (List.nth rows 1).ns_best);
@@ -473,7 +473,7 @@ let absolute_gates =
        each try through boxed values (~49 ms, 11.3M words) trips both *)
     (b20, `Mean, 40_000_000.0, Some 3_000_000.0, "B20 acl_firewall testgen");
     (* one execution inside a batch of 64 stays under 15 µs, the budget
-       the async campaign's throughput is built on; the words ceiling
+       the campaign's throughput is built on; the words ceiling
        pins the staged raw render's allocation profile *)
     (b12b, `Mean, 15_000.0, Some 1_000.0, "B12b batched oracle exec");
     (* unboxed counter and histogram cells and no per-packet event

@@ -6,7 +6,6 @@ module Bitstring = Bitutil.Bitstring
 module Prng = Bitutil.Prng
 module Registry = Telemetry.Registry
 module Merge = Par.Merge
-module Epoch = Par.Epoch
 
 type divergence = {
   dv_fingerprint : string;
@@ -30,11 +29,10 @@ type report = {
   rp_edges : int;
   rp_corpus : int;
   rp_divergences : divergence list;  (** in discovery order *)
-  (* machine/schedule-dependent facts, deliberately excluded from render:
-     the report text stays a pure function of (program, quirks, seed,
-     budget) in deterministic mode *)
+  (* machine-dependent facts, deliberately excluded from render: the
+     report text stays a pure function of (program, quirks, seed, budget,
+     seed corpus) *)
   rp_jobs : int;
-  rp_deterministic : bool;
   rp_wall_s : float;
 }
 
@@ -81,13 +79,14 @@ type shard_state = {
   sh_prng : Prng.t;
   sh_corpus : Corpus.t;
   sh_known : (string, unit) Hashtbl.t;  (* edge labels distributed to this shard *)
-  sh_have : (string, unit) Hashtbl.t;  (* hex of pool entries already in sh_corpus *)
+  sh_have : (string, unit) Hashtbl.t;  (* keys (hex) of entries already in sh_corpus *)
   sh_seen : (string, unit) Hashtbl.t;  (* fingerprints already sighted locally *)
   mutable sh_budget : int;  (* local executions still to run *)
   mutable sh_done : int;  (* local executions performed *)
   mutable sh_pending_seeds : Bitstring.t list;
   mutable sh_new_labels : string list;  (* published at the round barrier *)
-  mutable sh_new_entries : Bitstring.t list;  (* admitted this round, local order *)
+  mutable sh_new_entries : (string * Bitstring.t) list;
+      (* (key, entry) admitted this round, reverse local order *)
   mutable sh_sightings : sighting list;  (* reverse local discovery order *)
 }
 
@@ -130,25 +129,25 @@ let sight st input (x : Oracle.exec) =
         :: st.sh_sightings
   | Some _ | None -> ()
 
-(* round start, inside the worker: absorb what the rest of the campaign
-   learned last round. [global_labels] and [pool] are snapshots the
-   coordinator froze at the barrier — read-only here. *)
-let distribute st ~global_labels ~pool =
+(* round start, inside the worker: absorb what the last barrier
+   integrated. [labels] and [entries] are the coordinator's read-only
+   lists of what was new there; everything older reached this shard in
+   an earlier round. *)
+let distribute st ~labels ~entries =
   List.iter
     (fun label ->
       if not (Hashtbl.mem st.sh_known label) then begin
         Hashtbl.replace st.sh_known label ();
         ignore (Coverage.note (Oracle.coverage st.sh_oracle) label)
       end)
-    global_labels;
+    labels;
   List.iter
-    (fun entry ->
-      let key = Bitstring.to_hex entry in
+    (fun (key, entry) ->
       if not (Hashtbl.mem st.sh_have key) then begin
         Hashtbl.replace st.sh_have key ();
         Corpus.add st.sh_corpus entry
       end)
-    pool
+    entries
 
 (* one barrier-to-barrier batch of guided executions, purely local *)
 let guided_round layout st =
@@ -175,7 +174,7 @@ let guided_round layout st =
         let key = Bitstring.to_hex input in
         if not (Hashtbl.mem st.sh_have key) then begin
           Hashtbl.replace st.sh_have key ();
-          st.sh_new_entries <- input :: st.sh_new_entries
+          st.sh_new_entries <- (key, input) :: st.sh_new_entries
         end
     | Some _ | None -> ());
     sight st input x
@@ -188,7 +187,7 @@ let guided_round layout st =
       (fun l -> not (Hashtbl.mem st.sh_known l))
       (Coverage.labels (Oracle.coverage st.sh_oracle))
 
-(* phase 2, shared by both modes: sort sightings into the global
+(* phase 2, shared by both arms: sort sightings into the global
    discovery order, keep the first per fingerprint, then minimize and
    attribute each on the oracle of the shard that found it (executions
    and coverage from shrink replays land where the sequential engine put
@@ -239,7 +238,7 @@ let resolve_divergences pool_ layout states sightings =
 (* campaign totals after phase 2: executions sum across shard oracles;
    edges are the union of per-shard coverage (shrink replays included,
    exactly like the sequential accounting that counted edges last) *)
-let finish ~mode ~seed ~budget ~jobs ~deterministic ~wall states divergences corpus_size =
+let finish ~mode ~seed ~budget ~jobs ~wall states divergences corpus_size =
   let some = states.(0) in
   let union = Hashtbl.create 128 in
   Array.iter
@@ -261,7 +260,6 @@ let finish ~mode ~seed ~budget ~jobs ~deterministic ~wall states divergences cor
     rp_corpus = corpus_size;
     rp_divergences = divergences;
     rp_jobs = jobs;
-    rp_deterministic = deterministic;
     rp_wall_s = wall;
   }
 
@@ -287,100 +285,58 @@ let make_states ?quirks bundle ~seed ~budget ~templates =
   done;
   Array.of_list !states
 
-(* The deterministic engine: barrier rounds, integrated by the
-   coordinator in ascending shard order, so the report is a pure
-   function of (program, quirks, seed, budget) at any jobs value. Each
-   shard's round runs inside one oracle batch window — the hot loop
-   never pays the per-execution management-protocol round trips. *)
-let run_rounds_barrier pool_ layout active ~templates =
-  (* the shared pool starts as the seed templates, which every shard
-     already holds; entries keep their global discovery order *)
-  let pool_entries = ref templates in
-  let pool_keys = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace pool_keys (Bitstring.to_hex s) ()) !pool_entries;
-  let global_labels = ref [] in
+(* Barrier rounds, integrated by the coordinator in ascending shard
+   order, so the report is a pure function of (program, quirks, seed,
+   budget, seed corpus) at any jobs value. Each shard's round runs inside
+   one oracle batch window — the hot loop never pays the per-execution
+   management-protocol round trips. A round hands the shards only what
+   the previous barrier integrated: every older label and entry already
+   sits in each shard's [sh_known]/[sh_have], so the filters would drop
+   it anyway. [pool] holds the keys of the global corpus (initially the
+   templates, which every shard already holds); its size is the
+   campaign's corpus. *)
+let run_rounds pool_ layout active ~pool =
   let label_keys = Hashtbl.create 128 in
+  let labels = ref [] and entries = ref [] in
   while Array.exists (fun st -> st.sh_budget > 0) active do
-    let labels_snapshot = List.rev !global_labels in
-    let pool_snapshot = !pool_entries in
+    let fresh_labels = !labels and fresh_entries = !entries in
     ignore
       (Par.Pool.map_chunks pool_ ~chunk:1
          (fun ~worker:_ _ st ->
-           distribute st ~global_labels:labels_snapshot ~pool:pool_snapshot;
+           distribute st ~labels:fresh_labels ~entries:fresh_entries;
            if st.sh_budget > 0 then
              Oracle.with_batch st.sh_oracle (fun () -> guided_round layout st))
          active);
     (* barrier: integrate publications in ascending shard order *)
+    labels := [];
+    entries := [];
     Array.iter
       (fun st ->
         List.iter
           (fun l ->
             if not (Hashtbl.mem label_keys l) then begin
               Hashtbl.replace label_keys l ();
-              global_labels := l :: !global_labels
+              labels := l :: !labels
             end)
           st.sh_new_labels;
         List.iter
-          (fun entry ->
-            let key = Bitstring.to_hex entry in
-            if not (Hashtbl.mem pool_keys key) then begin
-              Hashtbl.replace pool_keys key ();
-              pool_entries := !pool_entries @ [ entry ]
+          (fun ((key, _) as entry) ->
+            if not (Hashtbl.mem pool key) then begin
+              Hashtbl.replace pool key ();
+              entries := entry :: !entries
             end)
           (List.rev st.sh_new_entries);
         st.sh_new_labels <- [];
         st.sh_new_entries <- [])
-      active
+      active;
+    labels := List.rev !labels;
+    entries := List.rev !entries
   done;
-  List.length !pool_entries
+  Hashtbl.length pool
 
-(* The asynchronous engine: static shard ownership (shard index mod
-   jobs), no barrier anywhere in the hot loop. Each worker runs its
-   shards' windows back to back; discoveries flow through two lock-free
-   {!Par.Epoch} channels — workers publish fresh coverage labels and
-   admitted corpus entries after each window and drain everyone else's
-   through private per-shard cursors before the next. Slow shards never
-   hold fast ones hostage, at the price of a schedule-dependent (but
-   order-insensitive: same verdict set) report. *)
-let run_rounds_async pool_ layout active ~templates =
-  let labels_ch = Epoch.create () in
-  let entries_ch = Epoch.create () in
-  let jobs = Par.Pool.jobs pool_ in
-  Par.Pool.run pool_ (fun w ->
-      let mine = ref [] in
-      Array.iteri
-        (fun i st ->
-          if i mod jobs = w then mine := (st, Epoch.cursor (), Epoch.cursor ()) :: !mine)
-        active;
-      let mine = List.rev !mine in
-      let progressed = ref true in
-      while !progressed do
-        progressed := false;
-        List.iter
-          (fun (st, lcur, ecur) ->
-            if st.sh_budget > 0 then begin
-              progressed := true;
-              distribute st ~global_labels:(Epoch.drain labels_ch lcur)
-                ~pool:(Epoch.drain entries_ch ecur);
-              Oracle.with_batch st.sh_oracle (fun () -> guided_round layout st);
-              Epoch.publish labels_ch st.sh_new_labels;
-              (* publications count as distributed-to-self: the next
-                 window's recompute must not publish them again *)
-              List.iter (fun l -> Hashtbl.replace st.sh_known l ()) st.sh_new_labels;
-              Epoch.publish entries_ch (List.rev st.sh_new_entries);
-              st.sh_new_labels <- [];
-              st.sh_new_entries <- []
-            end)
-          mine
-      done);
-  (* global corpus: the seed templates plus every distinct published
-     entry (two shards can admit the same input independently) *)
-  let keys = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace keys (Bitstring.to_hex s) ()) templates;
-  List.iter (fun e -> Hashtbl.replace keys (Bitstring.to_hex e) ()) (Epoch.all entries_ch);
-  Hashtbl.length keys
-
-let run ?quirks ?seed_corpus ?(jobs = 1) ?(deterministic = true) ~budget ~seed bundle =
+(* [deterministic] is accepted and ignored: every campaign runs the one
+   engine above *)
+let run ?quirks ?seed_corpus ?(jobs = 1) ?deterministic:_ ~budget ~seed bundle =
   if budget < 1 then invalid_arg "Fuzz.Campaign.run: budget must be positive";
   let layout = Mutate.layout_of bundle in
   (* [seed_corpus] swaps the generic templates for caller-supplied seeds
@@ -389,16 +345,16 @@ let run ?quirks ?seed_corpus ?(jobs = 1) ?(deterministic = true) ~budget ~seed b
      rediscover the paths by random mutation *)
   let templates = match seed_corpus with Some c -> c | None -> seeds () in
   if templates = [] then invalid_arg "Fuzz.Campaign.run: seed corpus must be non-empty";
+  (* first occurrence wins: the pool and the per-shard corpora assume
+     distinct entries *)
+  let pool = Hashtbl.create 64 in
   let templates =
-    (* first occurrence wins: the pool and the per-shard corpora assume
-       distinct entries *)
-    let seen = Hashtbl.create 16 in
     List.filter
       (fun t ->
         let k = Bitstring.to_hex t in
-        if Hashtbl.mem seen k then false
+        if Hashtbl.mem pool k then false
         else begin
-          Hashtbl.replace seen k ();
+          Hashtbl.replace pool k ();
           true
         end)
       templates
@@ -406,15 +362,12 @@ let run ?quirks ?seed_corpus ?(jobs = 1) ?(deterministic = true) ~budget ~seed b
   let t0 = Unix.gettimeofday () in
   let active = make_states ?quirks bundle ~seed ~budget ~templates in
   Par.Pool.with_pool ~jobs (fun pool_ ->
-      let corpus_size =
-        if deterministic then run_rounds_barrier pool_ layout active ~templates
-        else run_rounds_async pool_ layout active ~templates
-      in
+      let corpus_size = run_rounds pool_ layout active ~pool in
       let sightings =
         Merge.concat (Array.map (fun st -> List.rev st.sh_sightings) active)
       in
       let divergences = resolve_divergences pool_ layout active sightings in
-      finish ~mode:"guided" ~seed ~budget ~jobs ~deterministic
+      finish ~mode:"guided" ~seed ~budget ~jobs
         ~wall:(Unix.gettimeofday () -. t0)
         active divergences corpus_size)
 
@@ -451,7 +404,7 @@ let run_blind ?quirks ?(jobs = 1) ~budget ~seed bundle =
         Merge.concat (Array.map (fun st -> List.rev st.sh_sightings) active)
       in
       let divergences = resolve_divergences pool_ layout active sightings in
-      finish ~mode:"blind" ~seed ~budget ~jobs ~deterministic:true
+      finish ~mode:"blind" ~seed ~budget ~jobs
         ~wall:(Unix.gettimeofday () -. t0)
         active divergences 0)
 
@@ -492,8 +445,7 @@ let render_throughput r =
   let execs_s =
     if r.rp_wall_s > 0. then float_of_int r.rp_total_executions /. r.rp_wall_s else 0.
   in
-  Printf.sprintf "throughput: %d execs in %.3f s = %.0f execs/s (jobs %d, %s)"
+  Printf.sprintf "throughput: %d execs in %.3f s = %.0f execs/s (jobs %d)"
     r.rp_total_executions r.rp_wall_s execs_s r.rp_jobs
-    (if r.rp_deterministic then "deterministic" else "async")
 
 let pp ppf r = Format.pp_print_string ppf (render r)

@@ -16,26 +16,13 @@
     one in-device generator shot each — share one device quiesce per
     window.
 
-    Two scheduling engines share that hot loop (DESIGN.md §15):
-
-    - {b deterministic} (the library default): shards exchange fresh
-      coverage labels, corpus entries and divergence sightings only at
-      synchronization barriers, integrated in ascending shard order.
-      [jobs] chooses nothing but how many domains run the shards: the
-      report is a pure function of (program, quirks, seed, budget) and
-      renders byte-identically for every [jobs] value.
-    - {b async} ([~deterministic:false], the [netdebug fuzz] CLI
-      default): workers own their shards statically and never wait for
-      each other; discoveries integrate through lock-free epoch merges
-      ({!Par.Epoch}) at window granularity. Wall-clock scales with
-      [jobs] (no barrier, no idle domains), while the report becomes
-      schedule-dependent in its incidental detail (corpus size, found-at
-      indices) — the {e verdict set} (minimized divergence fingerprints)
-      is preserved exactly and coverage saturates to the same core edge
-      set (its stochastic tail of rare mutation-dependent labels can
-      move by a couple of edges, as it does between seeds), which the
-      test suite checks cross-mode. On a pure seed-corpus replay (no
-      mutation) both engines render byte-identically. *)
+    Shards exchange fresh coverage labels, corpus entries and divergence
+    sightings only at synchronization barriers, integrated in ascending
+    shard order; each round hands every shard just what the previous
+    barrier integrated (DESIGN.md §15). [jobs] chooses nothing but how
+    many domains run the shards: the report is a pure function of
+    (program, quirks, seed, budget, seed corpus) and renders
+    byte-identically for every [jobs] value. *)
 
 type divergence = {
   dv_fingerprint : string;
@@ -60,12 +47,10 @@ type report = {
   rp_corpus : int;
   rp_divergences : divergence list;  (** in discovery order *)
   rp_jobs : int;  (** worker domains that ran the campaign *)
-  rp_deterministic : bool;  (** barrier engine ([true]) or async engine *)
   rp_wall_s : float;  (** host wall-clock of the whole campaign *)
 }
-(** [rp_jobs], [rp_deterministic] and [rp_wall_s] are machine- and
-    schedule-dependent and deliberately excluded from {!render}; see
-    {!render_throughput}. *)
+(** [rp_jobs] and [rp_wall_s] are machine-dependent and deliberately
+    excluded from {!render}; see {!render_throughput}. *)
 
 val run :
   ?quirks:Sdnet.Quirks.t ->
@@ -84,12 +69,10 @@ val run :
     {!Symexec.Testgen.packets} to start the campaign coverage-complete
     instead of making it rediscover the program's paths by random
     mutation. [jobs] (default 1) is the number of worker domains
-    executing the campaign's shards. [deterministic] (default [true])
-    selects the barrier engine, whose report is a pure function of
-    (seed_corpus, seed, budget) — bit-identical at any [jobs]; pass
-    [false] for the barrier-free async engine, which trades that
-    byte-identity for wall-clock scaling while preserving the verdict
-    set.
+    executing the campaign's shards; the report is bit-identical at any
+    [jobs]. [deterministic] is accepted and ignored: it once chose
+    between two scheduling engines, and only the barrier engine
+    remains.
     @raise Invalid_argument when [budget < 1] or [seed_corpus] is
     empty. *)
 
@@ -111,7 +94,7 @@ val render : report -> string
 
 val render_throughput : report -> string
 (** One wall-clock perf line — ["throughput: <execs> execs in <s> s =
-    <execs/s> execs/s (jobs <n>, <engine>)"] — kept out of {!render} so
+    <execs/s> execs/s (jobs <n>)"] — kept out of {!render} so
     report files stay byte-comparable while CI logs still show fuzzing
     throughput. *)
 

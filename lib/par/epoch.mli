@@ -7,8 +7,9 @@
     loop — and each worker absorbs everyone else's discoveries by
     {!drain}ing through a private {!cursor} at whatever cadence suits
     its hot loop. Nothing ever blocks: there is no barrier, no mutex
-    and no wait, which is what lets the async fuzz campaign keep every
-    domain saturated (see [Fuzz.Campaign] and DESIGN.md §15).
+    and no wait. No library module uses it: [Fuzz.Campaign] integrates
+    at round barriers (DESIGN.md §15). Its one caller is the perfbench
+    fuzz workload's traced replica.
 
     Ordering contract: {!drain} returns items in publication order
     (oldest batch first, in-batch order preserved), but publication

@@ -248,7 +248,7 @@ let test_epoch_cursor_isolation () =
   Alcotest.(check (list int)) "a sees only the tail" [ 12 ] (Epoch.drain t a)
 
 let test_epoch_concurrent_publish () =
-  (* the async campaign's contract: concurrent single-item publishes from
+  (* the channel's contract: concurrent single-item publishes from
      several domains lose nothing, duplicate nothing, and keep each
      producer's own order inside the interleaving *)
   let t = Epoch.create () in
