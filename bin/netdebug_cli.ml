@@ -88,10 +88,20 @@ module Common_args = struct
       & info [ "seed" ] ~docv:"N"
           ~doc:"PRNG seed for the fuzz vectors (default: the built-in seed, 77).")
 
+  (* a count of at least 1: zero or less is a usage error naming the
+     flag or environment variable it came from *)
+  let positive_int =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+
   let jobs =
     let env = Cmd.Env.info "NETDEBUG_JOBS" ~doc:"Default for $(b,--jobs)." in
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "j"; "jobs" ] ~docv:"N" ~env
           ~doc:
             "Worker domains for the parallel execution engine. Validation sweeps \
@@ -507,8 +517,10 @@ let read_corpus_dir dir =
     files
 
 let fuzz_cmd =
-  let run name quirk_set quirks faithful budget seed jobs blind deterministic
-      seed_corpus report_out pcap_out =
+  let run name quirk_set quirks faithful budget seed jobs blind seed_corpus report_out
+      pcap_out =
+    if blind && Option.is_some seed_corpus then
+      or_die (Error "--seed-corpus seeds the guided campaign; --blind takes no corpus");
     let b = or_die (find_bundle name) in
     let quirks =
       match quirk_set with
@@ -518,7 +530,7 @@ let fuzz_cmd =
     let seed_corpus = Option.map read_corpus_dir seed_corpus in
     let report =
       if blind then Fuzz.Campaign.run_blind ~quirks ~jobs ~budget ~seed b
-      else Fuzz.Campaign.run ~quirks ?seed_corpus ~jobs ~deterministic ~budget ~seed b
+      else Fuzz.Campaign.run ~quirks ?seed_corpus ~jobs ~budget ~seed b
     in
     let text = Fuzz.Campaign.render report in
     print_string text;
@@ -549,7 +561,8 @@ let fuzz_cmd =
   in
   let budget_arg =
     Arg.(
-      value & opt int 10000
+      value
+      & opt Common_args.positive_int 10000
       & info [ "budget" ] ~docv:"N" ~doc:"Differential-oracle executions to spend.")
   in
   let seed_arg =
@@ -572,17 +585,6 @@ let fuzz_cmd =
             "Disable coverage guidance and drive the oracle with the blind \
              $(b,Vectors.fuzz) traffic (the baseline the guided campaign is compared \
              against).")
-  in
-  let deterministic_arg =
-    Arg.(
-      value & flag
-      & info [ "deterministic" ]
-          ~doc:
-            "Run the barrier scheduling engine: the report is a pure function of \
-             (program, quirks, seed, budget) and renders byte-identically for every \
-             $(b,--jobs) value — what CI's golden-report comparison pins. Without \
-             this flag the campaign uses the barrier-free async engine, which \
-             scales with $(b,--jobs) while preserving the verdict set.")
   in
   let report_arg =
     Arg.(
@@ -612,12 +614,11 @@ let fuzz_cmd =
        ~doc:
          "Run a coverage-guided differential fuzzing campaign: spec interpreter vs \
           the quirked compiled device, with minimized, quirk-attributed \
-          reproducers. Async sharded scheduling by default; \
-          $(b,--deterministic) pins the byte-reproducible barrier engine")
+          reproducers. The report is byte-identical for every $(b,--jobs) value")
     Term.(
       const run $ program_arg $ quirk_set_arg $ Common_args.quirks $ Common_args.faithful
-      $ budget_arg $ seed_arg $ Common_args.jobs $ blind_arg $ deterministic_arg
-      $ seed_corpus_arg $ report_arg $ pcap_arg)
+      $ budget_arg $ seed_arg $ Common_args.jobs $ blind_arg $ seed_corpus_arg
+      $ report_arg $ pcap_arg)
 
 (* ---------------- testgen ---------------- *)
 
