@@ -538,15 +538,16 @@ let check_gates ?(quiet = false) rows =
   (match find b18 with
   | Some r -> gate [ b18 ] "heap" "B18 worst round's major-heap words" r.major 0.0
   | None -> missing b18);
-  (* B13 async scaling. On a host with >= 4 cores, jobs=4 must cut the
+  (* B13 scaling. On a host with >= 4 cores, jobs=4 must cut the
      per-exec wall-clock to <= 0.6x of jobs=1 — failing that means the
      sharded engine stopped scaling. On narrower hosts a parallel speedup
      is physically impossible — the domains time-slice the cores and
      synchronize every minor GC — so the gate degrades to an anti-scaling
-     guard: ~1.5x measured there, 1.9 is headroom, and the pre-async
-     barrier engine's >2.1x would trip it. The throughput floor (>= 100k
-     execs/s, i.e. <= 10 µs per exec) applies to the best configuration
-     the host can scale to: jobs=4 with >= 4 cores, jobs=1 otherwise. *)
+     guard: 1.6–1.7x on a shared 2-core host, where a busy phase has read
+     up to 2.35x, so the 1.9 limit can trip on noise. The throughput
+     floor (>= 100k execs/s, i.e. <= 10 µs per exec) applies to the best
+     configuration the host can scale to: jobs=4 with >= 4 cores, jobs=1
+     otherwise (~5 µs per exec on that 2-core host). *)
   (match (find (b13a 1), find (b13a 4)) with
   | Some j1, Some j4 ->
       let cores = Domain.recommended_domain_count () in

@@ -157,7 +157,9 @@ let test_campaign_jobs_invariant () =
     (Campaign.render par);
   (* a seed corpus replays first, then mutates its own entries *)
   let seed_corpus = testgen_corpus Programs.basic_router in
-  let seeded jobs = Campaign.run ~jobs ~seed_corpus ~budget:2000 ~seed:1 Programs.basic_router in
+  let seeded jobs =
+    Campaign.run ~jobs ~seed_corpus ~budget:2000 ~seed:1 Programs.basic_router
+  in
   check_string "seed corpus: jobs=4 renders identically to jobs=1"
     (Campaign.render (seeded 1))
     (Campaign.render (seeded 4));
@@ -199,7 +201,7 @@ let test_report_golden () =
 
 (* fuzz_digest.golden: one line per configuration, the MD5 of its
    rendered report at budget 2000 — pins more campaigns than the one
-   full golden, at every jobs value *)
+   full golden, at jobs 1 and 4 *)
 let test_report_digests () =
   let configs =
     [
