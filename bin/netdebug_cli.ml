@@ -607,7 +607,8 @@ let fuzz_cmd =
           ~doc:
             "Seed the corpus from the $(b,.bin) packets in $(docv) (as written by \
              $(b,netdebug testgen --emit-corpus)) instead of the three built-in \
-             templates — a coverage-complete start for the campaign.")
+             templates — a coverage-complete start for the campaign. Not with \
+             $(b,--blind), which draws no corpus.")
   in
   Cmd.v
     (Cmd.info "fuzz"

@@ -180,8 +180,8 @@ let guided_round layout st =
     sight st input x
   done;
   (* labels this shard covered first (locally): everything interned that
-     was never distributed to it. Sorted by Coverage.labels — a
-     deterministic publication order. *)
+     was never distributed to it. Sorted by Coverage.labels, so the
+     publication order is fixed. *)
   st.sh_new_labels <-
     List.filter
       (fun l -> not (Hashtbl.mem st.sh_known l))
@@ -334,8 +334,7 @@ let run_rounds pool_ layout active ~pool =
   done;
   Hashtbl.length pool
 
-(* [deterministic] is accepted and ignored: every campaign runs the one
-   engine above *)
+(* [deterministic] is accepted and ignored (see campaign.mli) *)
 let run ?quirks ?seed_corpus ?(jobs = 1) ?deterministic:_ ~budget ~seed bundle =
   if budget < 1 then invalid_arg "Fuzz.Campaign.run: budget must be positive";
   let layout = Mutate.layout_of bundle in

@@ -70,9 +70,9 @@ val run :
     instead of making it rediscover the program's paths by random
     mutation. [jobs] (default 1) is the number of worker domains
     executing the campaign's shards; the report is bit-identical at any
-    [jobs]. [deterministic] is accepted and ignored: it once chose
-    between two scheduling engines, and only the barrier engine
-    remains.
+    [jobs]. [deterministic] is accepted and ignored, so callers that
+    still pass it keep building; every campaign runs the one barrier
+    engine.
     @raise Invalid_argument when [budget < 1] or [seed_corpus] is
     empty. *)
 

@@ -3,7 +3,7 @@
     Inputs enter with a base energy; when a mutation of an input uncovers
     a new coverage edge, the parent's energy doubles (capped), so
     productive inputs are selected — and mutated — more often. Selection
-    is energy-weighted and deterministic given the PRNG stream. *)
+    is energy-weighted and a function of the PRNG stream alone. *)
 
 type item
 

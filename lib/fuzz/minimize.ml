@@ -1,8 +1,8 @@
 module Bitstring = Bitutil.Bitstring
 
 (* Shrink a diverging input while preserving its divergence fingerprint.
-   Two deterministic phases (no randomness, so equal inputs give equal
-   reproducers):
+   Two phases, free of randomness, so equal inputs give equal
+   reproducers:
      1. tail truncation in halving byte chunks — drops payload and
         trailing headers the divergence never needed;
      2. field canonicalization — zero every layout field whose value is
