@@ -2,7 +2,6 @@
 
    Subcommands:
      list                    the program library
-     show PROGRAM            P4-flavoured source of a program
      export PROGRAM          re-loadable .p4 source (round-trips exactly)
      compile PROGRAM         toolchain report (stages, resources, quirks)
      verify PROGRAM          formal verification battery on the spec
@@ -61,54 +60,6 @@ let program_arg =
 module Common_args = struct
   let quirk_names = List.map (fun q -> (Quirks.name q, q)) Quirks.all
 
-  let quirks =
-    let doc =
-      Printf.sprintf
-        "Toolchain quirk to emulate (repeatable). One of: %s. Default: the shipped \
-         toolchain (%s). Use $(b,--faithful) for a fixed compiler."
-        (String.concat ", " (List.map fst quirk_names))
-        (String.concat ", " (List.map Quirks.name Quirks.default))
-    in
-    Arg.(value & opt_all (enum quirk_names) [] & info [ "quirk" ] ~docv:"QUIRK" ~doc)
-
-  let faithful =
-    let doc = "Compile with a faithful (fixed) toolchain: no quirks." in
-    Arg.(value & flag & info [ "faithful" ] ~doc)
-
-  let effective_quirks quirks faithful =
-    if faithful then Quirks.none else if quirks = [] then Quirks.default else quirks
-
-  let fuzz =
-    Arg.(value & opt int 32 & info [ "fuzz" ] ~docv:"N" ~doc:"Extra fuzz vectors.")
-
-  let seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"PRNG seed for the fuzz vectors (default: the built-in seed, 77).")
-
-  (* a count of at least 1: zero or less is a usage error naming the
-     flag or environment variable it came from *)
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-
-  let jobs =
-    let env = Cmd.Env.info "NETDEBUG_JOBS" ~doc:"Default for $(b,--jobs)." in
-    Arg.(
-      value & opt positive_int 1
-      & info [ "j"; "jobs" ] ~docv:"N" ~env
-          ~doc:
-            "Worker domains for the parallel execution engine. Validation sweeps \
-             shard their vectors over $(docv) device replicas; fuzz campaigns run \
-             their shards on $(docv) domains. Reports are identical for every \
-             value — parallelism never changes results, only wall-clock time.")
-
   (* whole-set quirk selection: none | default | all | name,name,... *)
   let quirk_set =
     let parse = function
@@ -130,6 +81,60 @@ module Common_args = struct
           go [] (String.split_on_char ',' s)
     in
     Arg.conv (parse, Quirks.pp)
+
+  let quirks =
+    let doc =
+      Printf.sprintf
+        "Toolchain quirk set to compile with: $(b,none) (a faithful, fixed compiler), \
+         $(b,default) (the shipped toolchain: %s), $(b,all), or a comma-separated list \
+         of quirk names (%s)."
+        (String.concat ", " (List.map Quirks.name Quirks.default))
+        (String.concat ", " (List.map fst quirk_names))
+    in
+    Arg.(value & opt quirk_set Quirks.default & info [ "quirks" ] ~docv:"SPEC" ~doc)
+
+  (* an integer of at least [lo]: anything else is a usage error naming
+     the flag or environment variable it came from *)
+  let int_at_least lo what =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= lo -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+
+  let positive_int = int_at_least 1 "a positive integer"
+
+  (* a finite number above zero: rates, windows and loads *)
+  let positive_float =
+    let parse s =
+      match float_of_string_opt s with
+      | Some x when x > 0. && Float.is_finite x -> Ok x
+      | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive number" s))
+    in
+    Arg.conv (parse, Format.pp_print_float)
+
+  let fuzz =
+    Arg.(
+      value & opt positive_int 32 & info [ "fuzz" ] ~docv:"N" ~doc:"Extra fuzz vectors.")
+
+  let seed =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "seed" ] ~docv:"N"
+          ~doc:"PRNG seed for the fuzz vectors (default: the built-in seed, 77).")
+
+  let jobs =
+    let env = Cmd.Env.info "NETDEBUG_JOBS" ~doc:"Default for $(b,--jobs)." in
+    Arg.(
+      value & opt positive_int 1
+      & info [ "j"; "jobs" ] ~docv:"N" ~env
+          ~doc:
+            "Worker domains for the parallel execution engine. Validation sweeps \
+             shard their vectors over $(docv) device replicas; fuzz campaigns run \
+             their shards on $(docv) domains. Reports are identical for every \
+             value — parallelism never changes results, only wall-clock time.")
 end
 
 let target_arg =
@@ -150,6 +155,18 @@ let or_die = function
    the run that fills it: a bad path then fails at once, not at the end. *)
 let make_artifact_dir = Option.iter (fun dir -> or_die (Telemetry.Export.mkdir_p dir))
 
+(* A drop fault at a named stage of the harness's device; a stage the
+   pipeline lacks is an error naming the stages it has. *)
+let inject_drop_fault (h : Harness.t) stage =
+  let stages = Target.Pipeline.stage_names (Device.pipeline h.Harness.device) in
+  if not (List.mem stage stages) then
+    or_die
+      (Error
+         (Printf.sprintf "%s has no stage %S (stages: %s)"
+            h.Harness.bundle.Programs.program.Ast.p_name stage
+            (String.concat ", " stages)));
+  Device.inject_fault h.Harness.device ~stage Fault.Drop_at_stage
+
 (* ---------------- list ---------------- *)
 
 let list_cmd =
@@ -164,22 +181,6 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc:"List the data-plane program library")
     Term.(const run $ const ())
-
-(* ---------------- show ---------------- *)
-
-let show_cmd =
-  let run name =
-    let b = or_die (find_bundle name) in
-    Format.printf "%s@." (P4ir.Pp.program_to_string b.Programs.program);
-    if b.Programs.entries <> [] then begin
-      Format.printf "@.// control-plane entries@.";
-      List.iter
-        (fun (table, e) -> Format.printf "// %s: %a@." table P4ir.Entry.pp e)
-        b.Programs.entries
-    end
-  in
-  Cmd.v (Cmd.info "show" ~doc:"Print a program in P4-flavoured syntax")
-    Term.(const run $ program_arg)
 
 (* ---------------- export ---------------- *)
 
@@ -198,9 +199,8 @@ let export_cmd =
 (* ---------------- compile ---------------- *)
 
 let compile_cmd =
-  let run name quirks faithful config =
+  let run name quirks config =
     let b = or_die (find_bundle name) in
-    let quirks = Common_args.effective_quirks quirks faithful in
     match Compile.compile ~quirks ~config b.Programs.program with
     | Ok report -> Format.printf "%a@." Compile.pp_report report
     | Error errs ->
@@ -209,7 +209,7 @@ let compile_cmd =
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a program and report stages/resources")
     Term.(
-      const run $ program_arg $ Common_args.quirks $ Common_args.faithful $ target_arg)
+const run $ program_arg $ Common_args.quirks $ target_arg)
 
 (* ---------------- verify ---------------- *)
 
@@ -258,10 +258,9 @@ let print_span_tree ppf spans =
 (* ---------------- validate ---------------- *)
 
 let validate_cmd =
-  let run name quirks faithful fuzz fuzz_seed jobs pcap_out telemetry_dir =
+  let run name quirks fuzz fuzz_seed jobs pcap_out telemetry_dir =
     let b = or_die (find_bundle name) in
     make_artifact_dir telemetry_dir;
-    let quirks = Common_args.effective_quirks quirks faithful in
     Format.printf "toolchain quirks: %a@." Quirks.pp quirks;
     (* a real clock, so table/<name>/update_ns telemetry carries actual
        control-plane update latencies in the exported artifacts *)
@@ -315,9 +314,8 @@ let validate_cmd =
     (Cmd.info "validate"
        ~doc:"Deploy on the simulated device and validate against the specification")
     Term.(
-      const run $ program_arg $ Common_args.quirks $ Common_args.faithful
-      $ Common_args.fuzz $ Common_args.seed $ Common_args.jobs $ pcap_arg
-      $ telemetry_arg)
+      const run $ program_arg $ Common_args.quirks $ Common_args.fuzz
+      $ Common_args.seed $ Common_args.jobs $ pcap_arg $ telemetry_arg)
 
 (* ---------------- localize ---------------- *)
 
@@ -325,9 +323,7 @@ let localize_cmd =
   let run name stage =
     let b = or_die (find_bundle name) in
     let h = Harness.deploy ~quirks:Quirks.none b in
-    (match stage with
-    | Some stage -> Device.inject_fault h.Harness.device ~stage Fault.Drop_at_stage
-    | None -> ());
+    Option.iter (inject_drop_fault h) stage;
     let probe =
       match b.Programs.entries with
       | _ :: _ -> Packet.serialize (Packet.udp_ipv4 ~dst:0x0A000005L ())
@@ -404,9 +400,8 @@ let format_names =
   [ ("chrome", `Chrome); ("jsonl", `Jsonl); ("text", `Text) ]
 
 let trace_cmd =
-  let run name quirks faithful format sampling fuzz fuzz_seed out =
+  let run name quirks format sampling fuzz fuzz_seed out =
     let b = or_die (find_bundle name) in
-    let quirks = Common_args.effective_quirks quirks faithful in
     let h = Harness.deploy ~quirks ~span_sampling:sampling b in
     (* the same traffic a validate run drives: self-check probes plus the
        functional battery, so every sampled packet shows up as a span tree *)
@@ -441,7 +436,8 @@ let trace_cmd =
   in
   let sampling_arg =
     Arg.(
-      value & opt int 1
+      value
+      & opt Common_args.positive_int 1
       & info [ "sampling" ] ~docv:"N"
           ~doc:"Span 1-in-$(docv) packets (default 1: every packet).")
   in
@@ -456,15 +452,14 @@ let trace_cmd =
        ~doc:
          "Run validation traffic on the simulated device and export per-packet spans")
     Term.(
-      const run $ program_arg $ Common_args.quirks $ Common_args.faithful $ format_arg
-      $ sampling_arg $ Common_args.fuzz $ Common_args.seed $ out_arg)
+      const run $ program_arg $ Common_args.quirks $ format_arg $ sampling_arg
+      $ Common_args.fuzz $ Common_args.seed $ out_arg)
 
 (* ---------------- metrics ---------------- *)
 
 let metrics_cmd =
-  let run name quirks faithful fuzz fuzz_seed out =
+  let run name quirks fuzz fuzz_seed out =
     let b = or_die (find_bundle name) in
-    let quirks = Common_args.effective_quirks quirks faithful in
     let h = Harness.deploy ~quirks b in
     (match Harness.self_check h with
     | Ok _ -> ()
@@ -491,8 +486,8 @@ let metrics_cmd =
          "Run validation traffic and print the device metrics registry in Prometheus \
           text exposition")
     Term.(
-      const run $ program_arg $ Common_args.quirks $ Common_args.faithful
-      $ Common_args.fuzz $ Common_args.seed $ out_arg)
+      const run $ program_arg $ Common_args.quirks $ Common_args.fuzz
+      $ Common_args.seed $ out_arg)
 
 (* ---------------- fuzz ---------------- *)
 
@@ -517,16 +512,10 @@ let read_corpus_dir dir =
     files
 
 let fuzz_cmd =
-  let run name quirk_set quirks faithful budget seed jobs blind seed_corpus report_out
-      pcap_out =
+  let run name quirks budget seed jobs blind seed_corpus report_out pcap_out =
     if blind && Option.is_some seed_corpus then
       or_die (Error "--seed-corpus seeds the guided campaign; --blind takes no corpus");
     let b = or_die (find_bundle name) in
-    let quirks =
-      match quirk_set with
-      | Some q -> q
-      | None -> Common_args.effective_quirks quirks faithful
-    in
     let seed_corpus = Option.map read_corpus_dir seed_corpus in
     let report =
       if blind then Fuzz.Campaign.run_blind ~quirks ~jobs ~budget ~seed b
@@ -568,15 +557,6 @@ let fuzz_cmd =
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Campaign PRNG seed.")
   in
-  let quirk_set_arg =
-    Arg.(
-      value
-      & opt (some Common_args.quirk_set) None
-      & info [ "quirks" ] ~docv:"SPEC"
-          ~doc:
-            "Quirk set to compile with: $(b,none), $(b,default), $(b,all) or a \
-             comma-separated list of quirk names. Overrides $(b,--quirk)/$(b,--faithful).")
-  in
   let blind_arg =
     Arg.(
       value & flag
@@ -617,22 +597,15 @@ let fuzz_cmd =
           the quirked compiled device, with minimized, quirk-attributed \
           reproducers. The report is byte-identical for every $(b,--jobs) value")
     Term.(
-      const run $ program_arg $ quirk_set_arg $ Common_args.quirks $ Common_args.faithful
-      $ budget_arg $ seed_arg $ Common_args.jobs $ blind_arg $ seed_corpus_arg
+      const run $ program_arg $ Common_args.quirks $ budget_arg $ seed_arg $ Common_args.jobs $ blind_arg $ seed_corpus_arg
       $ report_arg $ pcap_arg)
 
 (* ---------------- testgen ---------------- *)
 
 let testgen_cmd =
-  let run name quirk_set quirks faithful seed max_paths jobs emit_corpus check report_out
-      =
+  let run name quirks seed max_paths jobs emit_corpus check report_out =
     let b = or_die (find_bundle name) in
     make_artifact_dir emit_corpus;
-    let quirks =
-      match quirk_set with
-      | Some q -> q
-      | None -> Common_args.effective_quirks quirks faithful
-    in
     let rt = Usecases.Functional.oracle_runtime b in
     let report =
       Symexec.Testgen.generate ?seed ?max_paths ~jobs
@@ -676,18 +649,8 @@ let testgen_cmd =
   let max_paths_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Common_args.positive_int) None
       & info [ "max-paths" ] ~docv:"N" ~doc:"Stop exploration after $(docv) paths.")
-  in
-  let quirk_set_arg =
-    Arg.(
-      value
-      & opt (some Common_args.quirk_set) None
-      & info [ "quirks" ] ~docv:"SPEC"
-          ~doc:
-            "Quirk set the $(b,--check) deployment compiles with: $(b,none), \
-             $(b,default), $(b,all) or a comma-separated list. Overrides \
-             $(b,--quirk)/$(b,--faithful).")
   in
   let emit_corpus_arg =
     Arg.(
@@ -720,15 +683,15 @@ let testgen_cmd =
           symbolic execution, with the expected observation per packet; optionally \
           check the deployed device against the oracle path by path")
     Term.(
-      const run $ program_arg $ quirk_set_arg $ Common_args.quirks $ Common_args.faithful
-      $ seed_arg $ max_paths_arg $ Common_args.jobs $ emit_corpus_arg $ check_arg
-      $ report_arg)
+      const run $ program_arg $ Common_args.quirks $ seed_arg $ max_paths_arg
+      $ Common_args.jobs $ emit_corpus_arg $ check_arg $ report_arg)
 
 (* ---------------- soak ---------------- *)
 
 let soak_budget_arg =
   Arg.(
-    value & opt int 100_000
+    value
+    & opt Common_args.positive_int 100_000
     & info [ "budget" ] ~docv:"N" ~doc:"Background packets to inject.")
 
 let soak_seed_arg =
@@ -736,13 +699,15 @@ let soak_seed_arg =
 
 let soak_rate_arg =
   Arg.(
-    value & opt float 2.0
+    value
+    & opt Common_args.positive_float 2.0
     & info [ "rate" ] ~docv:"MPPS"
         ~doc:"Offered background rate in millions of packets per virtual second.")
 
 let soak_window_arg =
   Arg.(
-    value & opt float 100_000.
+    value
+    & opt Common_args.positive_float 100_000.
     & info [ "window" ] ~docv:"NS"
         ~doc:"Sampling / health-evaluation window in virtual nanoseconds.")
 
@@ -756,14 +721,11 @@ let soak_out_arg =
            into this directory.")
 
 let soak_cmd =
-  let run name quirks faithful budget seed rate window validations min_rate fault out =
+  let run name quirks budget seed rate window validations min_rate fault out =
     let b = or_die (find_bundle name) in
     make_artifact_dir out;
-    let quirks = Common_args.effective_quirks quirks faithful in
     let h = Harness.deploy ~quirks b in
-    (match fault with
-    | Some stage -> Device.inject_fault h.Harness.device ~stage Fault.Drop_at_stage
-    | None -> ());
+    Option.iter (inject_drop_fault h) fault;
     let cfg =
       {
         Obs.Soak.default_cfg with
@@ -815,17 +777,15 @@ let soak_cmd =
           packets per virtual second with concurrent generator/checker validation; the \
           exit code is gated on the rolling health verdict and the sustained rate")
     Term.(
-      const run $ program_arg $ Common_args.quirks $ Common_args.faithful
-      $ soak_budget_arg $ soak_seed_arg $ soak_rate_arg $ soak_window_arg
+      const run $ program_arg $ Common_args.quirks $ soak_budget_arg $ soak_seed_arg $ soak_rate_arg $ soak_window_arg
       $ validations_arg $ min_rate_arg $ fault_arg $ soak_out_arg)
 
 (* ---------------- serve ---------------- *)
 
 let serve_cmd =
-  let run name quirks faithful port budget seed rate window out =
+  let run name quirks port budget seed rate window out =
     let b = or_die (find_bundle name) in
     make_artifact_dir out;
-    let quirks = Common_args.effective_quirks quirks faithful in
     let h = Harness.deploy ~quirks b in
     let registry = Device.metrics h.Harness.device in
     let cfg =
@@ -897,7 +857,8 @@ let serve_cmd =
   in
   let budget_arg =
     Arg.(
-      value & opt int 0
+      value
+      & opt (Common_args.int_at_least 0 "a non-negative integer") 0
       & info [ "budget" ] ~docv:"N"
           ~doc:"Background packets to inject; 0 (default) runs until interrupted.")
   in
@@ -907,15 +868,13 @@ let serve_cmd =
          "Run the soak workload while serving live Prometheus text exposition on \
           /metrics and the rolling health verdict on /health over HTTP")
     Term.(
-      const run $ program_arg $ Common_args.quirks $ Common_args.faithful $ port_arg
-      $ budget_arg $ soak_seed_arg $ soak_rate_arg $ soak_window_arg $ soak_out_arg)
+      const run $ program_arg $ Common_args.quirks $ port_arg $ budget_arg $ soak_seed_arg $ soak_rate_arg $ soak_window_arg $ soak_out_arg)
 
 (* ---------------- monitor ---------------- *)
 
 let monitor_cmd =
-  let run name quirks faithful samples period load =
+  let run name quirks samples period load =
     let b = or_die (find_bundle name) in
-    let quirks = Common_args.effective_quirks quirks faithful in
     let h = Harness.deploy ~quirks b in
     let background =
       match b.Programs.entries with
@@ -928,17 +887,20 @@ let monitor_cmd =
   in
   let samples_arg =
     Arg.(
-      value & opt int 10
+      value
+      & opt Common_args.positive_int 10
       & info [ "samples" ] ~docv:"N" ~doc:"Status snapshots to take.")
   in
   let period_arg =
     Arg.(
-      value & opt int 50
+      value
+      & opt Common_args.positive_int 50
       & info [ "period" ] ~docv:"PACKETS" ~doc:"Background packets between snapshots.")
   in
   let load_arg =
     Arg.(
-      value & opt float 0.5
+      value
+      & opt Common_args.positive_float 0.5
       & info [ "load" ] ~docv:"FRACTION"
           ~doc:"Background traffic pacing as a fraction of line rate.")
   in
@@ -948,8 +910,7 @@ let monitor_cmd =
          "Periodic device status snapshots under paced live traffic, judged by the \
           health evaluator (use-case 6)")
     Term.(
-      const run $ program_arg $ Common_args.quirks $ Common_args.faithful $ samples_arg
-      $ period_arg $ load_arg)
+      const run $ program_arg $ Common_args.quirks $ samples_arg $ period_arg $ load_arg)
 
 (* ---------------- usecases ---------------- *)
 
@@ -1179,6 +1140,6 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; show_cmd; export_cmd; compile_cmd; verify_cmd; validate_cmd;
+          [ list_cmd; export_cmd; compile_cmd; verify_cmd; validate_cmd;
             localize_cmd; journey_cmd; trace_cmd; metrics_cmd; testgen_cmd; fuzz_cmd;
             soak_cmd; serve_cmd; monitor_cmd; net_cmd; usecases_cmd ]))

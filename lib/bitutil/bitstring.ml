@@ -174,10 +174,6 @@ let concat l =
 
 let equal a b = a.len = b.len && String.equal a.data b.data
 
-let compare a b =
-  let c = Stdlib.compare a.len b.len in
-  if c <> 0 then c else String.compare a.data b.data
-
 let random prng n =
   let b = Bytes.create (bytes_for_bits n) in
   for i = 0 to Bytes.length b - 1 do
@@ -186,8 +182,6 @@ let random prng n =
   (* zero the pad bits to restore the canonical-form invariant *)
   let t = { data = Bytes.unsafe_to_string b; len = Bytes.length b * 8 } in
   sub t ~off:0 ~len:n
-
-let pp ppf t = Format.fprintf ppf "0x%s/%d" (to_hex t) t.len
 
 module Writer = struct
   type bits = t

@@ -54,13 +54,8 @@ val concat : t list -> t
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val random : Prng.t -> int -> t
 (** [random prng n] is a uniformly random [n]-bit string. *)
-
-val pp : Format.formatter -> t -> unit
-(** Hex rendering, ["0x.."], with the bit length as suffix. *)
 
 module Writer : sig
   (** Mutable accumulator for building bit strings front-to-back. *)

@@ -1,5 +1,3 @@
 (** Classic 16-bytes-per-line hex dump, for failure capture rendering. *)
 
-val pp : Format.formatter -> string -> unit
-
 val to_string : string -> string

@@ -8,9 +8,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator. Equal seeds yield equal streams. *)
 
-val copy : t -> t
-(** Independent copy continuing from the current state. *)
-
 val advance : t -> int -> unit
 (** [advance t n] skips [n] draws in O(1): [t] ends where [n] calls of
     {!next_int64} would leave it. {!split}, {!int}, {!bool}, {!float},
@@ -35,6 +32,3 @@ val bits : t -> width:int -> int64
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

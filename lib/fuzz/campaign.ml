@@ -5,7 +5,6 @@ module Vectors = Netdebug.Vectors
 module Bitstring = Bitutil.Bitstring
 module Prng = Bitutil.Prng
 module Registry = Telemetry.Registry
-module Merge = Par.Merge
 
 type divergence = {
   dv_fingerprint : string;
@@ -187,15 +186,26 @@ let guided_round layout st =
       (fun l -> not (Hashtbl.mem st.sh_known l))
       (Coverage.labels (Oracle.coverage st.sh_oracle))
 
+(* every shard's sightings, shards in ascending order *)
+let sightings states =
+  List.concat_map (fun st -> List.rev st.sh_sightings) (Array.to_list states)
+
 (* phase 2, shared by both arms: sort sightings into the global
    discovery order, keep the first per fingerprint, then minimize and
    attribute each on the oracle of the shard that found it (executions
    and coverage from shrink replays land where the sequential engine put
    them). Shard groups shrink in parallel; results reassemble by gindex. *)
 let resolve_divergences pool_ layout states sightings =
+  let seen = Hashtbl.create 16 in
   let ordered =
-    Merge.dedup_by
-      ~key:(fun s -> s.sg_div.Oracle.d_fingerprint)
+    List.filter
+      (fun s ->
+        let fp = s.sg_div.Oracle.d_fingerprint in
+        if Hashtbl.mem seen fp then false
+        else begin
+          Hashtbl.add seen fp ();
+          true
+        end)
       (List.sort (fun a b -> compare a.sg_gindex b.sg_gindex) sightings)
   in
   let by_shard = Array.make (Array.length states) [] in
@@ -217,7 +227,7 @@ let resolve_divergences pool_ layout states sightings =
           group)
       by_shard
   in
-  let resolved = Merge.concat groups in
+  let resolved = List.concat (Array.to_list groups) in
   List.map
     (fun s ->
       let _, repro, quirks =
@@ -362,10 +372,7 @@ let run ?quirks ?seed_corpus ?(jobs = 1) ?deterministic:_ ~budget ~seed bundle =
   let active = make_states ?quirks bundle ~seed ~budget ~templates in
   Par.Pool.with_pool ~jobs (fun pool_ ->
       let corpus_size = run_rounds pool_ layout active ~pool in
-      let sightings =
-        Merge.concat (Array.map (fun st -> List.rev st.sh_sightings) active)
-      in
-      let divergences = resolve_divergences pool_ layout active sightings in
+      let divergences = resolve_divergences pool_ layout active (sightings active) in
       finish ~mode:"guided" ~seed ~budget ~jobs
         ~wall:(Unix.gettimeofday () -. t0)
         active divergences corpus_size)
@@ -399,10 +406,7 @@ let run_blind ?quirks ?(jobs = 1) ~budget ~seed bundle =
                  end)
                inputs)
            active);
-      let sightings =
-        Merge.concat (Array.map (fun st -> List.rev st.sh_sightings) active)
-      in
-      let divergences = resolve_divergences pool_ layout active sightings in
+      let divergences = resolve_divergences pool_ layout active (sightings active) in
       finish ~mode:"blind" ~seed ~budget ~jobs
         ~wall:(Unix.gettimeofday () -. t0)
         active divergences 0)
@@ -446,5 +450,3 @@ let render_throughput r =
   in
   Printf.sprintf "throughput: %d execs in %.3f s = %.0f execs/s (jobs %d)"
     r.rp_total_executions r.rp_wall_s execs_s r.rp_jobs
-
-let pp ppf r = Format.pp_print_string ppf (render r)

@@ -97,5 +97,3 @@ val render_throughput : report -> string
     <execs/s> execs/s (jobs <n>)"] — kept out of {!render} so
     report files stay byte-comparable while CI logs still show fuzzing
     throughput. *)
-
-val pp : Format.formatter -> report -> unit

@@ -146,7 +146,7 @@ let of_devices topo routes devices =
     c_lost = Registry.counter metrics ~help:"probes lost inside the fabric" "net/lost";
   }
 
-let create ?(quirks = Sdnet.Quirks.none) ?span_sampling (topo : Topology.t) =
+let create (topo : Topology.t) =
   (match Topology.validate topo with
   | Ok () -> ()
   | Error e -> invalid_arg ("Net.Fabric.create: invalid topology: " ^ e));
@@ -159,7 +159,7 @@ let create ?(quirks = Sdnet.Quirks.none) ?span_sampling (topo : Topology.t) =
     Array.map
       (fun (n : Topology.node) ->
         let h =
-          Harness.deploy ~quirks ~config ~install_entries:false ?span_sampling bundle
+          Harness.deploy ~quirks:Sdnet.Quirks.none ~config ~install_entries:false bundle
         in
         (match
            P4ir.Runtime.install_all bundle.P4ir.Programs.program
@@ -182,8 +182,6 @@ let replicate t =
 let topology t = t.topo
 let routes t = t.routes
 let device t id = t.devices.(id)
-
-let now_ns t = t.now
 
 let push t ~at ~node ~port ~probe ~bits =
   Heap.push t.heap
@@ -276,7 +274,6 @@ let run t =
 
 let fate t id = (probe_exn t id).p_fate
 let trail t id = List.rev (probe_exn t id).p_trail
-let probes_sent t = t.next_probe
 
 let clear_probes t =
   if t.in_flight > 0 then
@@ -296,8 +293,6 @@ let inject_fault t ~device ~stage fault =
         Error
           (Printf.sprintf "device %s has no stage %S (stages: %s)" device stage
              (String.concat ", " stages))
-
-let quiesce t = Array.iter (fun h -> Device.quiesce h.Harness.device) t.devices
 
 let registry t =
   let r = Registry.create () in

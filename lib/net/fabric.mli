@@ -41,13 +41,13 @@ type hop = {
 
 type t
 
-val create : ?quirks:Sdnet.Quirks.t -> ?span_sampling:int -> Topology.t -> t
+val create : Topology.t -> t
 (** Deploy one device per node — same router program and device config
     everywhere (ports sized to {!Topology.max_ports}) — compute the
     topology's {!Route.table} once, and install {!Route.entries_for} on
-    each device from it. [quirks] defaults to
-    {!Sdnet.Quirks.none} (a faithful toolchain: network validation
-    studies the network, not the compiler's quirk catalogue).
+    each device from it. Every device compiles with a faithful toolchain
+    ([Sdnet.Quirks.none]): network validation studies the network, not
+    the compiler's quirk catalogue.
     @raise Invalid_argument when the topology fails {!Topology.validate}
     or a route install is rejected. *)
 
@@ -70,9 +70,6 @@ val routes : t -> Route.table
 val device : t -> int -> Netdebug.Harness.t
 (** The deployment behind node [id]. *)
 
-val now_ns : t -> float
-(** The fabric clock: the latest event time processed. *)
-
 val send : t -> src:Topology.host -> ?at_ns:float -> Bitutil.Bitstring.t -> int
 (** Schedule a packet from host [src] toward its edge switch; it arrives
     at [max at_ns now + host link delay]. Returns the probe id (dense,
@@ -86,8 +83,6 @@ val fate : t -> int -> fate
 val trail : t -> int -> hop list
 (** Ingress hops in traversal order (first = the edge switch). *)
 
-val probes_sent : t -> int
-
 val clear_probes : t -> unit
 (** Forget terminated probe records and restart probe ids at 0. Device
     state (clocks, counters, routes, faults) is untouched.
@@ -98,10 +93,6 @@ val inject_fault :
 (** Seed a stage fault on one named device (see
     {!Target.Device.inject_fault}). [Error] names an unknown device, or
     a stage the device's pipeline does not have. *)
-
-val quiesce : t -> unit
-(** {!Target.Device.quiesce} every device — flush in-flight TX state
-    after a long run so queues do not accumulate. *)
 
 val registry : t -> Telemetry.Registry.t
 (** A fresh fleet-level registry: the fabric's own counters

@@ -6,11 +6,6 @@ let scenario_to_string = function
   | Reachability -> "reachability"
   | Waypoint -> "waypoint"
 
-let scenario_of_string = function
-  | "reachability" -> Ok Reachability
-  | "waypoint" -> Ok Waypoint
-  | s -> Error (Printf.sprintf "unknown scenario %S (expected reachability|waypoint)" s)
-
 type outcome = {
   o_index : int;
   o_src : string;
@@ -170,7 +165,8 @@ let run ?(jobs = 1) ?(payload_bytes = 26) scenario fabric =
 
 let failures r = Array.to_list r.r_outcomes |> List.filter (fun o -> not o.o_ok)
 
-let render ?(max_failures = 10) r =
+let render r =
+  let max_failures = 10 in
   let b = Buffer.create 256 in
   let fails = failures r in
   Buffer.add_string b

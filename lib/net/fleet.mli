@@ -23,9 +23,6 @@
 
 type scenario = Reachability | Waypoint
 
-val scenario_to_string : scenario -> string
-val scenario_of_string : string -> (scenario, string) result
-
 type outcome = {
   o_index : int;
   o_src : string;  (** source host name *)
@@ -65,9 +62,9 @@ val run : ?jobs:int -> ?payload_bytes:int -> scenario -> Fabric.t -> report
 val failures : report -> outcome list
 (** Failing outcomes in pair order. *)
 
-val render : ?max_failures:int -> report -> string
+val render : report -> string
 (** Human summary: verdict line, pass/fail counts, wall time, the first
-    [max_failures] (default 10) failures. *)
+    10 failures. *)
 
 val render_outcomes : report -> string
 (** One line per pair, deterministic for a given topology + scenario

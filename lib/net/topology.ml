@@ -86,7 +86,7 @@ let default_host_delay = 100.0
 (* Generators                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let mk_host ~id ~name ~node ~port ~hip ~delay =
+let mk_host ~id ~name ~node ~port ~hip =
   {
     h_id = id;
     h_name = name;
@@ -94,10 +94,10 @@ let mk_host ~id ~name ~node ~port ~hip ~delay =
     h_port = port;
     h_ip = hip;
     h_mac = host_mac hip;
-    h_delay_ns = delay;
+    h_delay_ns = default_host_delay;
   }
 
-let fat_tree ?(link_delay_ns = default_link_delay) ?(host_delay_ns = default_host_delay) k =
+let fat_tree k =
   if k < 2 || k mod 2 <> 0 then
     invalid_arg (Printf.sprintf "Topology.fat_tree: k must be even and >= 2, got %d" k);
   let h = k / 2 in
@@ -149,7 +149,7 @@ let fat_tree ?(link_delay_ns = default_link_delay) ?(host_delay_ns = default_hos
             l_a_port = h + a;
             l_b = agg p a;
             l_b_port = e;
-            l_delay_ns = link_delay_ns;
+            l_delay_ns = default_link_delay;
             l_gbps = 10.0;
           }
           :: !links
@@ -166,7 +166,7 @@ let fat_tree ?(link_delay_ns = default_link_delay) ?(host_delay_ns = default_hos
             l_a_port = h + j;
             l_b = core a j;
             l_b_port = p;
-            l_delay_ns = link_delay_ns;
+            l_delay_ns = default_link_delay;
             l_gbps = 10.0;
           }
           :: !links
@@ -183,7 +183,6 @@ let fat_tree ?(link_delay_ns = default_link_delay) ?(host_delay_ns = default_hos
             ~name:(Printf.sprintf "h-%d-%d-%d" p e i)
             ~node:(edge p e) ~port:i
             ~hip:(ip 10 p e (2 + i))
-            ~delay:host_delay_ns
           :: !hosts;
         incr hid
       done
@@ -196,8 +195,8 @@ let fat_tree ?(link_delay_ns = default_link_delay) ?(host_delay_ns = default_hos
     hosts = Array.of_list (List.rev !hosts);
   }
 
-let leaf_spine ?(link_delay_ns = default_link_delay) ?(host_delay_ns = default_host_delay)
-    ?(hosts_per_leaf = 2) ~spines ~leaves () =
+let leaf_spine ?(link_delay_ns = default_link_delay) ?(hosts_per_leaf = 2) ~spines ~leaves
+    () =
   if spines < 1 || leaves < 1 || hosts_per_leaf < 1 then
     invalid_arg "Topology.leaf_spine: spines, leaves and hosts_per_leaf must be >= 1";
   if leaves > 253 || hosts_per_leaf > 253 then
@@ -245,7 +244,6 @@ let leaf_spine ?(link_delay_ns = default_link_delay) ?(host_delay_ns = default_h
           ~name:(Printf.sprintf "h-%d-%d" l i)
           ~node:l ~port:i
           ~hip:(ip 10 l 0 (2 + i))
-          ~delay:host_delay_ns
         :: !hosts
     done
   done;
@@ -256,7 +254,7 @@ let leaf_spine ?(link_delay_ns = default_link_delay) ?(host_delay_ns = default_h
     hosts = Array.of_list (List.rev !hosts);
   }
 
-let single ?(host_delay_ns = default_host_delay) ~hosts () =
+let single ~hosts () =
   if hosts < 1 || hosts > 253 then invalid_arg "Topology.single: 1 <= hosts <= 253";
   {
     t_name = "single";
@@ -276,8 +274,7 @@ let single ?(host_delay_ns = default_host_delay) ~hosts () =
           mk_host ~id:i
             ~name:(Printf.sprintf "h-0-%d" i)
             ~node:0 ~port:i
-            ~hip:(ip 10 0 0 (2 + i))
-            ~delay:host_delay_ns);
+            ~hip:(ip 10 0 0 (2 + i)));
   }
 
 (* ------------------------------------------------------------------ *)

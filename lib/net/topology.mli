@@ -56,26 +56,26 @@ type t = {
   hosts : host array;
 }
 
-val fat_tree : ?link_delay_ns:float -> ?host_delay_ns:float -> int -> t
+val fat_tree : int -> t
 (** [fat_tree k] (k even, >= 2): the canonical k-ary fat-tree — [k] pods
     of [k/2] edge + [k/2] aggregation switches, [(k/2)^2] core switches,
     [k/2] hosts per edge switch; every switch has exactly [k] ports.
-    [fat_tree 4] is 20 switches and [k^3/4 = 16] hosts. Default link delay 500 ns
+    [fat_tree 4] is 20 switches and [k^3/4 = 16] hosts. Link delay 500 ns
     (≈ 100 m of fibre), host links 100 ns.
     @raise Invalid_argument for odd or non-positive [k]. *)
 
 val leaf_spine :
   ?link_delay_ns:float ->
-  ?host_delay_ns:float ->
   ?hosts_per_leaf:int ->
   spines:int ->
   leaves:int ->
   unit ->
   t
 (** A two-tier Clos: every leaf uplinks to every spine; [hosts_per_leaf]
-    (default 2) hosts per leaf. Leaf [l] owns subnet [10.l.0.0/24]. *)
+    (default 2) hosts per leaf. Leaf [l] owns subnet [10.l.0.0/24].
+    Spine links default to 500 ns; host links take 100 ns. *)
 
-val single : ?host_delay_ns:float -> hosts:int -> unit -> t
+val single : hosts:int -> unit -> t
 (** One edge switch with [hosts] directly attached hosts — the smallest
     fabric (used by unit tests and the B16 microbench, where the fabric
     overhead around exactly one device forward is what's measured). *)
@@ -97,9 +97,6 @@ val edges : t -> node list
 
 val max_ports : t -> int
 (** The widest node — what the per-device {!Target.Config} must carry. *)
-
-val ip_string : int64 -> string
-(** Dotted quad. *)
 
 val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result

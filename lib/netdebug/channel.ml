@@ -18,6 +18,4 @@ let send ep msg =
 
 let recv ep = if Queue.is_empty ep.inbox then None else Some (Queue.pop ep.inbox)
 
-let pending ep = Queue.length ep.inbox
-
 let bytes_sent ep = ep.sent_bytes

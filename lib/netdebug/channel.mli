@@ -18,8 +18,6 @@ val send : endpoint -> string -> unit
 val recv : endpoint -> string option
 (** Next pending message for this endpoint, FIFO. *)
 
-val pending : endpoint -> int
-
 val bytes_sent : endpoint -> int
 (** Total payload bytes this endpoint has transmitted (management-channel
     load accounting). *)

@@ -13,9 +13,11 @@ type rule_state = {
   mutable failed : int;
 }
 
+(* failing outputs the summary keeps: the first 64 *)
+let capture_limit = 64
+
 type t = {
   program : Ast.program;
-  capture_limit : int;
   mutable rules : rule_state list;
   mutable total_seen : int;
   mutable scratch : (Env.t * Exec.ctx) option;  (* reused rule-eval context *)
@@ -74,7 +76,7 @@ let on_output t (out : Device.output) =
         else begin
           rs.failed <- rs.failed + 1;
           Stats.Counter.incr t.c_fail;
-          if List.length t.captures < t.capture_limit then
+          if List.length t.captures < capture_limit then
             t.captures <-
               {
                 Wire.cap_rule = rs.rule.Wire.r_name;
@@ -88,12 +90,11 @@ let on_output t (out : Device.output) =
     t.rules
   end
 
-let create ?(capture_limit = 64) ~program device =
+let create ~program device =
   let metrics = Device.metrics device in
   let t =
     {
       program;
-      capture_limit;
       rules = [];
       total_seen = 0;
       scratch = None;

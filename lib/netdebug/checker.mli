@@ -21,8 +21,9 @@
 
 type t
 
-val create : ?capture_limit:int -> program:P4ir.Ast.program -> Target.Device.t -> t
-(** Attaches the device's check tap. [capture_limit] defaults to 64. *)
+val create : program:P4ir.Ast.program -> Target.Device.t -> t
+(** Attaches the device's check tap. The checker keeps the first 64
+    captures. *)
 
 val configure : t -> Wire.rule list -> unit
 (** Replace the rule set and reset statistics and captures. *)

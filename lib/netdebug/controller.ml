@@ -62,9 +62,8 @@ let stream ?(count = 1) ?(interval_ns = 1000.0) ?(mutations = []) template =
 
 let expect ?filter ~name e = { Wire.r_name = name; r_filter = filter; r_expect = e }
 
-let expect_port ?name ?filter port =
-  let name = match name with Some n -> n | None -> Printf.sprintf "egress=%d" port in
-  expect ?filter ~name
+let expect_port port =
+  expect ~name:(Printf.sprintf "egress=%d" port)
     (Ast.Bin (Ast.Eq, Ast.Std Ast.Egress_spec, Ast.Const (P4ir.Value.of_int ~width:9 port)))
 
 let mgmt_bytes t = Channel.bytes_sent t.endpoint

@@ -9,8 +9,6 @@ type t
 
 val create : pump:(unit -> unit) -> Channel.endpoint -> t
 
-val rpc : t -> Wire.host_msg -> (Wire.dev_msg, string) result
-
 (* Typed conveniences over rpc; each fails on protocol errors. *)
 
 val configure_generator : t -> Wire.stream list -> (unit, string) result
@@ -34,8 +32,8 @@ val stream :
   Wire.stream
 (** Stream constructor: defaults to one packet, 1000 ns spacing. *)
 
-val expect_port : ?name:string -> ?filter:P4ir.Ast.expr -> int -> Wire.rule
-(** Rule asserting the observed egress port. *)
+val expect_port : int -> Wire.rule
+(** Rule ["egress=<port>"] asserting the observed egress port. *)
 
 val expect : ?filter:P4ir.Ast.expr -> name:string -> P4ir.Ast.expr -> Wire.rule
 

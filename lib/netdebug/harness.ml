@@ -11,7 +11,7 @@ type t = {
   controller : Controller.t;
 }
 
-let generator_port = 510
+let generator_port = Device.generator_port
 
 let deploy ?(quirks = Sdnet.Quirks.default) ?config ?(install_entries = true) ?span_sampling
     ?update_clock bundle =

@@ -60,7 +60,8 @@ val export_artifacts : t -> dir:string -> string list
 
 val generator_port : int
 (** The internal source port id test packets carry ([ingress_port] seen by
-    the program when a packet comes from the generator). *)
+    the program when a packet comes from the generator): it is
+    [Target.Device.generator_port]. *)
 
 val self_check : t -> (string list, string) result
 (** E1 (Figure 1) architecture self-check: the injection point bypasses

@@ -141,43 +141,41 @@ module Functional = struct
     | Error e -> invalid_arg ("Usecases.Functional: " ^ e));
     rt
 
-  (* The sweep: [items] in batches over worker-owned harnesses — worker
-     0 drives [h], every other worker its own [Harness.replicate]
-     replica — with the device's registers zeroed before every item, so
-     each verdict depends only on its item and the result is the same at
-     any [jobs]. [check w hw] is worker [w]'s per-item check on [hw].
-     Results land at their input index; worker telemetry folds back into
+  (* The sweep: [items] in batches over one harness per worker — worker
+     0 drives [h], every other worker a [Harness.replicate] replica the
+     coordinator makes before the pool runs (as [Fleet.run] does) — with
+     the device's registers zeroed before every item, so each verdict
+     depends only on its item and the result is the same at any [jobs].
+     [check w hw] is worker [w]'s per-item check on [hw]. Results land
+     at their input index; every replica's telemetry folds back into
      [h]'s device in ascending worker order (associative merges: the
      order only buys determinism). *)
   let sweep ~jobs (h : Harness.t) check items =
-    Par.Pool.with_pool ~jobs (fun pool ->
-        let shards =
-          Par.Shard.create pool (fun w ->
-              let hw = if w = 0 then h else Harness.replicate h in
-              (hw, check w hw))
-        in
-        let n = Array.length items in
-        (* a lone worker takes everything as one batch, so its device
-           timeline (the spans [trace] exports) is a plain [check_batch]'s *)
-        let size = if jobs = 1 then max 1 n else 8 in
-        let starts = Array.init ((n + size - 1) / size) (fun c -> c * size) in
-        let pieces =
+    let replicas = Array.init jobs (fun w -> if w = 0 then h else Harness.replicate h) in
+    let checks = Array.mapi check replicas in
+    let n = Array.length items in
+    (* a lone worker takes everything as one batch, so its device
+       timeline (the spans [trace] exports) is a plain [check_batch]'s *)
+    let size = if jobs = 1 then max 1 n else 8 in
+    let starts = Array.init ((n + size - 1) / size) (fun c -> c * size) in
+    let pieces =
+      Par.Pool.with_pool ~jobs (fun pool ->
           Par.Pool.map_chunks pool ~chunk:1
             (fun ~worker _ start ->
-              let hw, f = Par.Shard.get shards ~worker in
+              let hw = replicas.(worker) in
               batch hw
                 (fun k x ->
                   P4ir.Regstate.reset (Device.registers hw.Harness.device);
-                  f (start + k) x)
+                  checks.(worker) (start + k) x)
                 (Array.sub items start (min size (n - start))))
-            starts
-        in
-        Par.Shard.iter shards (fun w (hw, _) ->
-            if w > 0 then
-              Telemetry.Registry.merge
-                ~into:(Device.metrics h.Harness.device)
-                (Device.metrics hw.Harness.device));
-        Array.concat (Array.to_list pieces))
+            starts)
+    in
+    for w = 1 to jobs - 1 do
+      Telemetry.Registry.merge
+        ~into:(Device.metrics h.Harness.device)
+        (Device.metrics replicas.(w).Harness.device)
+    done;
+    Array.concat (Array.to_list pieces)
 
   let run ?oracle ?vectors ?(fuzz = 32) ?fuzz_seed ?(stateful = false) ?(jobs = 1)
       (h : Harness.t) =
@@ -271,8 +269,8 @@ module Functional = struct
         else None
     | Testgen.Drop _ -> if summary.Wire.cs_total_seen = 0 then None else forwarded ()
 
-  let check_paths ?seed ?max_paths ?(jobs = 1) ?oracle (h : Harness.t) =
-    let oracle = match oracle with Some b -> b | None -> h.Harness.bundle in
+  let check_paths ?seed ?max_paths ?(jobs = 1) (h : Harness.t) =
+    let oracle = h.Harness.bundle in
     let oracle_rt = oracle_runtime oracle in
     let jobs = max 1 jobs in
     let report =
@@ -540,7 +538,8 @@ module Architecture_check = struct
     end
     else 0
 
-  let probe ?(config = Config.netfpga_sume) () =
+  let probe () =
+    let config = Config.netfpga_sume in
     let compiles program =
       match Compile.compile ~quirks:Quirks.none ~config program with
       | Ok _ -> true
@@ -587,7 +586,8 @@ module Resources = struct
     rr_max_util_pct : float;
   }
 
-  let inventory ?(config = Config.netfpga_sume) ?(bundles = Programs.all) () =
+  let inventory () =
+    let config = Config.netfpga_sume in
     List.filter_map
       (fun (b : Programs.bundle) ->
         match Compile.compile ~config b.Programs.program with
@@ -607,7 +607,7 @@ module Resources = struct
                 rr_tcam_bits = r.Resource.tcam_bits;
                 rr_max_util_pct = List.fold_left (fun acc (_, p) -> max acc p) 0.0 util;
               })
-      bundles
+      Programs.all
 end
 
 (* ------------------------------------------------------------------ *)

@@ -111,11 +111,10 @@ module Functional : sig
     ?seed:int ->
     ?max_paths:int ->
     ?jobs:int ->
-    ?oracle:P4ir.Programs.bundle ->
     Harness.t ->
     path_report
   (** Per-path symexec-vs-device divergence check: generate one covering
-      vector per satisfiable path of the oracle program
+      vector per satisfiable path of the deployed program
       ({!Symexec.Testgen.generate}, pinned to the generator port), drive
       each through the deployment, and compare the device's observation
       against the path's {e symbolic} expectation. Unlike {!run}, the
@@ -188,9 +187,9 @@ module Architecture_check : sig
     ar_documented : int;
   }
 
-  val probe : ?config:Target.Config.t -> unit -> probe_result list
+  val probe : unit -> probe_result list
   (** Binary-search each limit by compiling synthesized programs against
-      [config] (default {!Target.Config.netfpga_sume}). *)
+      {!Target.Config.netfpga_sume}. *)
 end
 
 module Resources : sig
@@ -207,10 +206,9 @@ module Resources : sig
     rr_max_util_pct : float;
   }
 
-  val inventory :
-    ?config:Target.Config.t -> ?bundles:P4ir.Programs.bundle list -> unit -> row list
-  (** One row per bundle (default: the whole program library), from the
-      compile reports — no deployment involved. *)
+  val inventory : unit -> row list
+  (** One row per program of the library, compiled for
+      {!Target.Config.netfpga_sume} — no deployment involved. *)
 end
 
 module Status : sig

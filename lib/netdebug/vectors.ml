@@ -2,14 +2,9 @@ module Bitstring = Bitutil.Bitstring
 module Prng = Bitutil.Prng
 module Testgen = Symexec.Testgen
 
-let from_paths ?seed ?(limit = 64) program runtime =
-  let report = Testgen.generate ?seed program runtime in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | b :: rest -> b :: take (n - 1) rest
-  in
-  let bits = take limit (Testgen.packets report) in
+let from_paths program runtime =
+  let report = Testgen.generate program runtime in
+  let bits = List.filteri (fun i _ -> i < 64) (Testgen.packets report) in
   (* drop duplicates while keeping order *)
   let seen = Hashtbl.create 16 in
   List.filter

@@ -6,10 +6,9 @@
     path coverage of parser and tables) and a seeded fuzzer over
     well-formed templates. *)
 
-val from_paths :
-  ?seed:int -> ?limit:int -> P4ir.Ast.program -> P4ir.Runtime.t -> Bitutil.Bitstring.t list
+val from_paths : P4ir.Ast.program -> P4ir.Runtime.t -> Bitutil.Bitstring.t list
 (** One concrete packet per satisfiable execution path, in exploration
-    order, capped at [limit] (default 64). A thin wrapper over
+    order, capped at 64. A thin wrapper over
     {!Symexec.Testgen.generate} that keeps only the packets; use the
     oracle directly when the expected observations are wanted too. *)
 

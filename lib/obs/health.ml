@@ -1,6 +1,6 @@
 (* Rolling-window health evaluation: declarative rules over Sampler
-   windows, a typed verdict, and firing evidence. Rules are evaluated
-   once per window; a run is Healthy iff no rule ever fired.
+   windows, a verdict, and firing evidence. Rules are evaluated once per
+   window; a run is healthy iff no rule ever fired.
 
    Rates are per *virtual* second — the device clock, not wall time — so
    verdicts are deterministic for a seeded run. *)
@@ -16,10 +16,10 @@ type rule_kind =
   | Gauge_below of string * float
   | P99_below of string * float
       (* window p99 of a histogram must stay at or under the ceiling *)
-  | Ewma_band of { counter : string; alpha : float; band : float; warmup : int }
+  | Ewma_band of { counter : string; band : float; warmup : int }
       (* anomaly detection: the counter's per-window rate must stay within
-         [band] (fractional) of its EWMA baseline once [warmup] windows
-         have seeded the baseline *)
+         [band] (fractional) of its EWMA baseline (smoothing [ewma_alpha])
+         once [warmup] windows have seeded the baseline *)
 
 type rule = { hr_label : string; hr_kind : rule_kind }
 
@@ -31,9 +31,11 @@ let gauge_below ~label gauge bound = { hr_label = label; hr_kind = Gauge_below (
 
 let p99_below ~label hist ceiling = { hr_label = label; hr_kind = P99_below (hist, ceiling) }
 
-let ewma_band ?(alpha = 0.3) ?(warmup = 5) ~label counter band =
+let ewma_alpha = 0.3
+
+let ewma_band ?(warmup = 5) ~label counter band =
   if band <= 0. then invalid_arg "Health.ewma_band: band must be positive";
-  { hr_label = label; hr_kind = Ewma_band { counter; alpha; band; warmup } }
+  { hr_label = label; hr_kind = Ewma_band { counter; band; warmup } }
 
 type firing = {
   fg_rule : string;
@@ -43,8 +45,6 @@ type firing = {
   fg_limit : float;
   fg_detail : string;
 }
-
-type verdict = Healthy | Unhealthy of firing list
 
 type rule_state = {
   rule : rule;
@@ -123,7 +123,7 @@ let eval_rule st (w : Sampler.window) =
               (Printf.sprintf "%s window p99 %.1f exceeds %.1f (n=%d)" name p99 ceiling
                  (Histogram.count h))
           else None)
-  | Ewma_band { counter; alpha; band; warmup } ->
+  | Ewma_band { counter; band; warmup } ->
       let rate = Int64.to_float (Sampler.counter_delta w counter) /. window_seconds w in
       st.rs_last_observed <- rate;
       let result =
@@ -142,7 +142,8 @@ let eval_rule st (w : Sampler.window) =
       (* anomalous windows do not poison the baseline *)
       if result = None then begin
         st.rs_ewma <-
-          (if st.rs_seen = 0 then rate else (alpha *. rate) +. ((1. -. alpha) *. st.rs_ewma));
+          (if st.rs_seen = 0 then rate
+           else (ewma_alpha *. rate) +. ((1. -. ewma_alpha) *. st.rs_ewma));
         st.rs_seen <- st.rs_seen + 1
       end;
       result
@@ -154,8 +155,6 @@ let observe t w =
   fired
 
 let firings t = List.rev t.firings
-
-let verdict t = match t.firings with [] -> Healthy | fs -> Unhealthy (List.rev fs)
 
 let healthy t = t.firings = []
 

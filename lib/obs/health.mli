@@ -14,11 +14,12 @@ type rule_kind =
   | Gauge_below of string * float  (** instantaneous gauge bound *)
   | P99_below of string * float
       (** window p99 of a histogram must stay at or under the ceiling *)
-  | Ewma_band of { counter : string; alpha : float; band : float; warmup : int }
-      (** EWMA-baseline anomaly detection on the counter's per-window
-          rate: once [warmup] windows have seeded the baseline, a window
-          whose rate deviates more than [band] (fractional) from the
-          baseline fires; anomalous windows do not update the baseline *)
+  | Ewma_band of { counter : string; band : float; warmup : int }
+      (** EWMA-baseline anomaly detection (alpha 0.3) on the counter's
+          per-window rate: once [warmup] windows have seeded the
+          baseline, a window whose rate deviates more than [band]
+          (fractional) from the baseline fires; anomalous windows do not
+          update the baseline *)
 
 type rule = { hr_label : string; hr_kind : rule_kind }
 
@@ -30,8 +31,9 @@ val gauge_below : label:string -> string -> float -> rule
 
 val p99_below : label:string -> string -> float -> rule
 
-val ewma_band : ?alpha:float -> ?warmup:int -> label:string -> string -> float -> rule
-(** [alpha] defaults to 0.3, [warmup] to 5 windows. *)
+val ewma_band : ?warmup:int -> label:string -> string -> float -> rule
+(** The EWMA baseline smooths with alpha 0.3; [warmup] defaults to 5
+    windows. *)
 
 type firing = {
   fg_rule : string;
@@ -42,8 +44,6 @@ type firing = {
   fg_detail : string;
 }
 
-type verdict = Healthy | Unhealthy of firing list
-
 type t
 
 val create : rule list -> t
@@ -51,9 +51,6 @@ val create : rule list -> t
 val observe : t -> Sampler.window -> firing list
 (** Evaluate every rule against the window; returns (and records) the
     rules that fired on it. *)
-
-val verdict : t -> verdict
-(** Healthy iff no rule has fired on any observed window. *)
 
 val healthy : t -> bool
 

@@ -126,7 +126,10 @@ let handle t fd =
   write_all fd reply;
   t.served <- t.served + 1
 
-let poll ?(max_requests = 32) t =
+(* connections answered per poll at most *)
+let max_requests = 32
+
+let poll t =
   if t.closed then 0
   else begin
     let n = ref 0 in
@@ -145,13 +148,6 @@ let poll ?(max_requests = 32) t =
     | Unix.Unix_error (Unix.EINTR, _, _) -> ());
     !n
   end
-
-let wait ?(timeout_s = 1.0) t =
-  if t.closed then 0
-  else
-    match Unix.select [ t.sock ] [] [] timeout_s with
-    | [], _, _ -> 0
-    | _ -> poll t
 
 let close t =
   if not t.closed then begin

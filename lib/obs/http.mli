@@ -23,13 +23,9 @@ val create : ?host:string -> ?port:int -> (string * route) list -> t
 
 val port : t -> int
 
-val poll : ?max_requests:int -> t -> int
-(** Serve every pending connection (up to [max_requests], default 32)
-    without blocking; returns the number served. *)
-
-val wait : ?timeout_s:float -> t -> int
-(** Block up to [timeout_s] (default 1 s) for a connection, then {!poll}.
-    For dedicated serve loops with nothing else to do. *)
+val poll : t -> int
+(** Serve every pending connection (up to 32) without blocking; returns
+    the number served. *)
 
 val served : t -> int
 (** Total requests answered since creation. *)

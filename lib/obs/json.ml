@@ -241,5 +241,3 @@ let to_float = function Num f -> Some f | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 
 let to_list = function Arr l -> Some l | _ -> None
-
-let keys = function Obj kvs -> List.map fst kvs | _ -> []

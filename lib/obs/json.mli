@@ -31,6 +31,3 @@ val to_float : t -> float option
 val to_str : t -> string option
 
 val to_list : t -> t list option
-
-val keys : t -> string list
-(** Object keys in order; [[]] on non-objects. *)

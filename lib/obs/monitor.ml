@@ -60,15 +60,13 @@ let windows_of_snapshots snaps =
   in
   go 0 [] snaps
 
-let run ?period_packets ?samples ?load ?rules (h : Harness.t) ~background =
+let run ?period_packets ?samples ?load (h : Harness.t) ~background =
   let snaps = Status.monitor ?period_packets ?samples ?load h ~background in
   let max_queue_depth =
     float_of_int (Target.Device.config h.Harness.device).Target.Config.rx_queue_packets
     /. 2.
   in
-  let health =
-    Health.create (match rules with Some r -> r | None -> default_rules ~max_queue_depth)
-  in
+  let health = Health.create (default_rules ~max_queue_depth) in
   List.iter (fun w -> ignore (Health.observe health w)) (windows_of_snapshots snaps);
   { mo_snapshots = snaps; mo_health = health }
 

@@ -9,27 +9,21 @@ type result = {
   mo_health : Health.t;
 }
 
-val default_rules : max_queue_depth:float -> Health.rule list
-(** queue-drops still, pipeline-drops still, queue depth bound. *)
-
-val windows_of_snapshots :
-  Netdebug.Wire.status_summary list -> Sampler.window list
-(** Each consecutive snapshot pair becomes one window carrying
-    [status/packets_in]/[status/packets_out]/[status/queue_drops]/
-    [status/pipeline_drops] deltas and a [status/queue_depth] gauge. *)
-
 val run :
   ?period_packets:int ->
   ?samples:int ->
   ?load:float ->
-  ?rules:Health.rule list ->
   Netdebug.Harness.t ->
   background:Bitutil.Bitstring.t ->
   result
 (** Drive {!Netdebug.Usecases.Status.monitor} with the same knobs
     ([samples] snapshots every [period_packets] packets at [load] of
-    line rate) and evaluate the synthesized windows. [rules] defaults to
-    {!default_rules} with half the RX ring as the depth bound. *)
+    line rate) and evaluate the synthesized windows. Each consecutive
+    snapshot pair becomes one window carrying [status/packets_in],
+    [status/packets_out], [status/queue_drops] and
+    [status/pipeline_drops] deltas and a [status/queue_depth] gauge; the
+    rules are queue-drops still, pipeline-drops still, and a queue depth
+    bound of half the RX ring. *)
 
 val healthy : result -> bool
 

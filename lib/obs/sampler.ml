@@ -23,7 +23,6 @@ type window = {
 type t = {
   registry : Registry.t;
   interval_ns : float;
-  keep : int;
   sink : string -> unit;
   buf : Buffer.t;
   line : Buffer.t;  (* reused per window: a fresh one regrows past 2 KB into the major heap *)
@@ -32,17 +31,15 @@ type t = {
   prev_hists : (string, Histogram.t) Hashtbl.t;
   mutable next_ns : float;
   mutable seq : int;
-  mutable windows : window list;  (* newest first, capped at [keep] *)
 }
 
-let create ?(interval_ns = 100_000.) ?(keep = 64) ?sink registry ~start_ns =
+let create ?(interval_ns = 100_000.) ?sink registry ~start_ns =
   if interval_ns <= 0. then invalid_arg "Sampler.create: interval_ns must be positive";
   let buf = Buffer.create 4096 in
   let sink = match sink with Some f -> f | None -> Buffer.add_string buf in
   {
     registry;
     interval_ns;
-    keep = max 1 keep;
     sink;
     buf;
     line = Buffer.create 4096;
@@ -51,10 +48,7 @@ let create ?(interval_ns = 100_000.) ?(keep = 64) ?sink registry ~start_ns =
     prev_hists = Hashtbl.create 16;
     next_ns = start_ns +. interval_ns;
     seq = 0;
-    windows = [];
   }
-
-let interval_ns t = t.interval_ns
 
 let counter_delta w name =
   match List.assoc_opt name w.w_counters with Some d -> d | None -> 0L
@@ -146,21 +140,9 @@ let sample t ~now_ns =
   in
   t.seq <- t.seq + 1;
   t.next_ns <- now_ns +. t.interval_ns;
-  t.windows <-
-    (let ws = w :: t.windows in
-     if List.length ws > t.keep then List.filteri (fun i _ -> i < t.keep) ws else ws);
   t.sink (line_of_window t.line ~gauges_changed:(List.rev !gauges_changed) w);
   w
 
 let tick t ~now_ns = if now_ns < t.next_ns then None else Some (sample t ~now_ns)
 
-let windows t = List.rev t.windows
-
-let last_window t = match t.windows with [] -> None | w :: _ -> Some w
-
 let jsonl t = Buffer.contents t.buf
-
-let drain_jsonl t =
-  let s = Buffer.contents t.buf in
-  Buffer.clear t.buf;
-  s

@@ -22,17 +22,12 @@ type window = {
 type t
 
 val create :
-  ?interval_ns:float ->
-  ?keep:int ->
-  ?sink:(string -> unit) ->
-  Telemetry.Registry.t ->
-  start_ns:float ->
-  t
+  ?interval_ns:float -> ?sink:(string -> unit) -> Telemetry.Registry.t -> start_ns:float -> t
 (** [interval_ns] (default 100 us of virtual time) is the sampling period;
-    [keep] (default 64) bounds the retained window list; [sink] receives
-    each JSONL line as it is produced (default: an internal buffer read
-    back with {!jsonl}/{!drain_jsonl} — pass your own to stream to a file
-    and keep memory flat on unbounded runs). *)
+    [sink] receives each JSONL line as it is produced (default: an
+    internal buffer read back with {!jsonl} — pass your own to stream to
+    a file and keep memory flat on unbounded runs). Windows are not
+    retained: each goes to the caller and the sink. *)
 
 val tick : t -> now_ns:float -> window option
 (** Cheap boundary check — one float compare when no sample is due.
@@ -41,13 +36,6 @@ val tick : t -> now_ns:float -> window option
 
 val sample : t -> now_ns:float -> window
 (** Force a sample now, regardless of the boundary. *)
-
-val interval_ns : t -> float
-
-val windows : t -> window list
-(** Retained windows, oldest first (at most [keep]). *)
-
-val last_window : t -> window option
 
 val counter_delta : window -> string -> int64
 (** 0 when the counter did not move in the window. *)
@@ -59,6 +47,3 @@ val hist_window : window -> string -> Stats.Histogram.t option
 val jsonl : t -> string
 (** Contents of the internal JSONL buffer (empty when a [sink] was
     supplied at creation). *)
-
-val drain_jsonl : t -> string
-(** Like {!jsonl} but also clears the buffer. *)

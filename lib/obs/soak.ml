@@ -121,7 +121,7 @@ let rate_ok r = r.so_rate_mpps >= r.so_min_rate_mpps
 
 let exit_ok r = r.so_healthy && rate_ok r
 
-let run ?(cfg = default_cfg) ?rules ?health ?sink ?on_window (h : Harness.t) =
+let run ?(cfg = default_cfg) ?health ?sink ?on_window (h : Harness.t) =
   if cfg.sk_budget <= 0 then invalid_arg "Soak.run: budget must be positive";
   if cfg.sk_rate_mpps <= 0. then invalid_arg "Soak.run: rate must be positive";
   let device = h.Harness.device in
@@ -144,7 +144,7 @@ let run ?(cfg = default_cfg) ?rules ?health ?sink ?on_window (h : Harness.t) =
   let health =
     match health with
     | Some hl -> hl
-    | None -> Health.create (match rules with Some r -> r | None -> default_rules cfg)
+    | None -> Health.create (default_rules cfg)
   in
   let profile = Profile.attach registry in
   let sampler =

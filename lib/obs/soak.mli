@@ -54,15 +54,14 @@ type report = {
 
 val run :
   ?cfg:cfg ->
-  ?rules:Health.rule list ->
   ?health:Health.t ->
   ?sink:(string -> unit) ->
   ?on_window:(Sampler.window -> unit) ->
   Netdebug.Harness.t ->
   report
 (** Drive the soak on an already-deployed harness. [health] overrides
-    [rules] overrides {!default_rules} (pass [health] to share the live
-    evaluator with an HTTP endpoint). [sink] streams JSONL lines as they
+    {!default_rules} (pass [health] to share the live evaluator with an
+    HTTP endpoint). [sink] streams JSONL lines as they
     are produced instead of buffering them into the report. [on_window]
     runs after each window's sample+health evaluation — the serve loop
     polls its HTTP listener there. The device's wire emissions are

@@ -210,8 +210,6 @@ let create ~kws ~degrade ~resolve =
     rebuilds = 0;
   }
 
-let kws t = Array.copy t.c_kws
-
 let size t = t.nlive
 
 let rebuilds t = t.rebuilds

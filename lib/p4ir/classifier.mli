@@ -35,9 +35,6 @@ val create : kws:int array -> degrade:bool -> resolve:(int -> Entry.t) -> t
     it is only consulted when the structure must fall back to the legacy
     replica (ids passed to {!insert} stay resolvable until {!remove}). *)
 
-val kws : t -> int array
-(** The key widths the classifier was built for (a copy). *)
-
 val insert : t -> int -> Entry.t -> unit
 (** [insert t id e] adds entry [e] under id [id]. Ids must be unique among
     live entries; install-order ties are broken by ascending id, so callers

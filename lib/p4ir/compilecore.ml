@@ -857,7 +857,6 @@ let compile ?(exec_hooks = Exec.spec_hooks) ?(parse_hooks = Parse.spec_hooks)
 (* Accessors over the compiled form                                    *)
 (* ------------------------------------------------------------------ *)
 
-let program cp = cp.cp_prog
 let n_counters cp = Array.length cp.counter_names
 let counter_name cp i = cp.counter_names.(i)
 let n_tables cp = cp.n_tables

@@ -59,7 +59,6 @@ val spec_compiled : Ast.program -> t
     Counters, asserts, tables and parser states are interned to dense
     integer ids; callbacks receive ids and these map them back. *)
 
-val program : t -> Ast.program
 val n_counters : t -> int
 val counter_name : t -> int -> string
 val n_tables : t -> int

@@ -24,9 +24,6 @@ let key_matches_b dte mk v =
       if dte then Value.to_int64 e = Value.to_int64 v
       else Value.matches_mask v ~value:(Value.to_int64 e) ~mask:(Value.to_int64 m)
 
-let key_matches ?(degrade_ternary_to_exact = false) mk v =
-  key_matches_b degrade_ternary_to_exact mk v
-
 let rec keys_match dte mks vs =
   match (mks, vs) with
   | [], [] -> true

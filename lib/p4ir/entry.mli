@@ -18,10 +18,6 @@ val exact : Value.t -> mkey
 val lpm : Value.t -> int -> mkey
 val ternary : Value.t -> Value.t -> mkey
 
-val key_matches : ?degrade_ternary_to_exact:bool -> mkey -> Value.t -> bool
-(** [degrade_ternary_to_exact] models a compiler quirk: ternary keys are
-    matched as exact on the value, ignoring the mask. Default false. *)
-
 val matches : ?degrade_ternary_to_exact:bool -> t -> Value.t list -> bool
 
 val specificity : t -> int
@@ -33,5 +29,4 @@ val select :
 (** Best-matching entry: maximum (priority, specificity), earlier install
     order breaking remaining ties. The list is in install order. *)
 
-val pp_mkey : Format.formatter -> mkey -> unit
 val pp : Format.formatter -> t -> unit

@@ -107,11 +107,6 @@ let payload t = t.pl
 
 let set_payload t b = t.pl <- b
 
-let valid_headers t =
-  List.filter_map
-    (fun (hd : Ast.header_decl) -> if (hinst t hd.h_name).hvalid then Some hd.h_name else None)
-    t.prog.Ast.p_headers
-
 let snapshot_fields t =
   List.concat_map
     (fun (hd : Ast.header_decl) ->

@@ -53,9 +53,6 @@ val get_param : t -> string -> Value.t
 val payload : t -> Bitutil.Bitstring.t
 val set_payload : t -> Bitutil.Bitstring.t -> unit
 
-val valid_headers : t -> string list
-(** Declaration order. *)
-
 val snapshot_fields : t -> (string * string * Value.t) list
 (** All (header, field, value) triples of valid headers, for diffing in
     comparison tests. *)

@@ -52,7 +52,3 @@ val run_stmts : ctx -> Ast.stmt list -> unit
 
 val run_action : ctx -> string -> Value.t list -> unit
 (** Execute a declared action with the given arguments. *)
-
-val apply_table : ctx -> string -> unit
-(** Evaluate the table's keys, select the best entry from the runtime state
-    (or the default action on miss) and execute it. *)

@@ -178,7 +178,7 @@ let process ?(engine = `Staged) ?regs program runtime ~ingress_port bits =
   | `Tree -> process_tree ?regs program runtime ~ingress_port bits
   | `Staged -> process_staged ?regs program runtime ~ingress_port bits
 
-let forward ?engine ?regs program runtime ~ingress_port bits =
-  match (process ?engine ?regs program runtime ~ingress_port bits).result with
+let forward program runtime ~ingress_port bits =
+  match (process program runtime ~ingress_port bits).result with
   | Forwarded (port, out) -> Some (port, out)
   | Dropped _ -> None

@@ -35,8 +35,7 @@ val process :
     equivalent; staged is several times faster per packet. *)
 
 val forward :
-  ?engine:Compilecore.engine ->
-  ?regs:Regstate.t ->
   Ast.program -> Runtime.t -> ingress_port:int -> Bitutil.Bitstring.t ->
   (int * Bitutil.Bitstring.t) option
-(** Convenience: just the forwarding decision. *)
+(** Convenience: just the forwarding decision of {!process} at its
+    defaults (staged engine, fresh registers). *)

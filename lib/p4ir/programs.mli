@@ -13,11 +13,6 @@ type bundle = {
 
 (* Shared header declarations (field layout matches the [packet] library). *)
 val eth_h : Ast.header_decl
-val vlan_h : Ast.header_decl
-val ipv4_h : Ast.header_decl
-val tcp_h : Ast.header_decl
-val udp_h : Ast.header_decl
-val mpls_h : Ast.header_decl
 
 val basic_router : bundle
 (** IPv4 LPM router; rejects non-IPv4 at the parser, verifies the IPv4

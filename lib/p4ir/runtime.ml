@@ -166,11 +166,6 @@ let remove program t ~table (e : Entry.t) =
                   cls_iter s (fun c -> Classifier.remove c id stored);
                   Ok ())))
 
-let remove_exn program t ~table e =
-  match remove program t ~table e with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Runtime.remove_exn: " ^ msg)
-
 let install_all program t pairs =
   let rec go = function
     | [] -> Ok ()

@@ -29,9 +29,6 @@ val remove : Ast.program -> t -> table:string -> Entry.t -> (unit, string) resul
     place, no table rebuild. [Error] when the table is undeclared or no
     entry matches. *)
 
-val remove_exn : Ast.program -> t -> table:string -> Entry.t -> unit
-(** @raise Invalid_argument when {!remove} would return [Error]. *)
-
 val install_all : Ast.program -> t -> (string * Entry.t) list -> (unit, string) result
 (** Install a batch of (table, entry) pairs, stopping at the first error. *)
 

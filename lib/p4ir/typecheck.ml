@@ -256,12 +256,3 @@ let check program =
     program.p_deparser;
 
   match List.rev !errors with [] -> Ok () | errs -> Error errs
-
-let check_exn program =
-  match check program with
-  | Ok () -> ()
-  | Error errs ->
-      let msg =
-        String.concat "; " (List.map (fun e -> Format.asprintf "%a" pp_error e) errs)
-      in
-      invalid_arg ("Typecheck: " ^ msg)

@@ -9,9 +9,6 @@ type error = { loc : string; msg : string }
 
 val check : Ast.program -> (unit, error list) result
 
-val check_exn : Ast.program -> unit
-(** @raise Invalid_argument listing all errors. *)
-
 val expr_width :
   Ast.program -> params:Ast.field_decl list -> Ast.expr -> (int, string) result
 (** Width of a well-typed expression; [params] are the action parameters in

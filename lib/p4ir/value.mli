@@ -57,8 +57,6 @@ val le : t -> t -> t
 val gt : t -> t -> t
 val ge : t -> t -> t
 
-val compare_unsigned : t -> t -> int
-
 val slice : t -> msb:int -> lsb:int -> t
 (** [slice v ~msb ~lsb] is bits [msb..lsb] inclusive, width [msb-lsb+1]. *)
 

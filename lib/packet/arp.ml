@@ -17,8 +17,6 @@ let base ~oper ~sha ~spa ~tha ~tpa =
 
 let request ~sha ~spa ~tpa = base ~oper:1L ~sha ~spa ~tha:0L ~tpa
 
-let reply ~sha ~spa ~tha ~tpa = base ~oper:2L ~sha ~spa ~tha ~tpa
-
 let encode w t =
   Bitstring.Writer.push_int64 w ~width:16 t.htype;
   Bitstring.Writer.push_int64 w ~width:16 t.ptype;

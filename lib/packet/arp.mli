@@ -14,7 +14,6 @@ type t = {
 
 val size_bits : int
 val request : sha:int64 -> spa:int64 -> tpa:int64 -> t
-val reply : sha:int64 -> spa:int64 -> tha:int64 -> tpa:int64 -> t
 val encode : Bitstring.Writer.t -> t -> unit
 val decode : Bitstring.Reader.t -> t
 val to_bits : t -> Bitstring.t

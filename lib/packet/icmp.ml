@@ -8,8 +8,6 @@ let echo ~ty ?(ident = 1L) ?(seq = 0L) () =
 
 let echo_request ?ident ?seq () = echo ~ty:8L ?ident ?seq ()
 
-let echo_reply ?ident ?seq () = echo ~ty:0L ?ident ?seq ()
-
 let encode w t =
   Bitstring.Writer.push_int64 w ~width:8 t.icmp_type;
   Bitstring.Writer.push_int64 w ~width:8 t.code;

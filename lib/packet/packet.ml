@@ -36,17 +36,6 @@ let serialize t =
 
 let byte_length t = Bitstring.byte_length (serialize t)
 
-let header_name = function
-  | Eth _ -> "eth"
-  | Vlan _ -> "vlan"
-  | Arp _ -> "arp"
-  | Ipv4 _ -> "ipv4"
-  | Ipv6 _ -> "ipv6"
-  | Icmp _ -> "icmp"
-  | Tcp _ -> "tcp"
-  | Udp _ -> "udp"
-  | Mpls _ -> "mpls"
-
 (* Best-effort decode: each step consumes one header and decides the next
    step from the protocol field; any failure terminates decoding with the
    remaining bits as payload. *)
@@ -150,9 +139,6 @@ let map_first f headers =
 let map_ipv4 f t =
   { t with headers = map_first (function Ipv4 h -> Some (Ipv4 (f h)) | _ -> None) t.headers }
 
-let map_eth f t =
-  { t with headers = map_first (function Eth h -> Some (Eth (f h)) | _ -> None) t.headers }
-
 let header_bits = function
   | Eth _ -> Eth.size_bits
   | Vlan _ -> Vlan.size_bits
@@ -234,22 +220,6 @@ let fixup t =
 
 let equal a b = Bitstring.equal (serialize a) (serialize b)
 
-let pp_header ppf = function
-  | Eth h -> Eth.pp ppf h
-  | Vlan h -> Vlan.pp ppf h
-  | Arp h -> Arp.pp ppf h
-  | Ipv4 h -> Ipv4.pp ppf h
-  | Ipv6 h -> Ipv6.pp ppf h
-  | Icmp h -> Icmp.pp ppf h
-  | Tcp h -> Tcp.pp ppf h
-  | Udp h -> Udp.pp ppf h
-  | Mpls h -> Mpls.pp ppf h
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun h -> Format.fprintf ppf "%a@," pp_header h) t.headers;
-  Format.fprintf ppf "payload %d bytes@]" (Bitstring.length t.payload / 8)
-
 let default_payload n = Bitstring.of_string (String.init n (fun i -> Char.chr (i land 0xff)))
 
 let udp_ipv4 ?(eth_src = 0x020000000001L) ?(eth_dst = 0x020000000002L)
@@ -277,18 +247,6 @@ let tcp_ipv4 ?(src = 0x0A000001L) ?(dst = 0x0A000002L) ?(src_port = 1234L)
           Tcp (Tcp.make ~src_port ~dst_port ~flags ());
         ];
       payload = Bitstring.empty;
-    }
-
-let icmp_echo ?(src = 0x0A000001L) ?(dst = 0x0A000002L) ?(seq = 0L) () =
-  fixup
-    {
-      headers =
-        [
-          Eth (Eth.make ());
-          Ipv4 (Ipv4.make ~protocol:Proto.ipproto_icmp ~src ~dst ~payload_len:0 ());
-          Icmp (Icmp.echo_request ~seq ());
-        ];
-      payload = default_payload 16;
     }
 
 let arp_request ?(spa = 0x0A000001L) ?(tpa = 0x0A000002L) () =

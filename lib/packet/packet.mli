@@ -33,8 +33,6 @@ val parse : Bitutil.Bitstring.t -> t
     unknown or truncated header; remaining bits become the payload. Never
     raises. *)
 
-val header_name : header -> string
-
 val find_eth : t -> Eth.t option
 val find_ipv4 : t -> Ipv4.t option
 val find_udp : t -> Udp.t option
@@ -44,17 +42,12 @@ val find_vlan : t -> Vlan.t option
 val map_ipv4 : (Ipv4.t -> Ipv4.t) -> t -> t
 (** Rewrite the first IPv4 header, if present. *)
 
-val map_eth : (Eth.t -> Eth.t) -> t -> t
-
 val fixup : t -> t
 (** Recompute dependent fields: IPv4 [total_len] and header checksum, UDP
     [length], and chain EtherType / protocol fields so the header stack is
     self-consistent. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** One line per header plus payload size. *)
 
 (* Convenience constructors used all over tests and experiments. *)
 
@@ -74,8 +67,6 @@ val udp_ipv4 :
 val tcp_ipv4 :
   ?src:int64 -> ?dst:int64 -> ?src_port:int64 -> ?dst_port:int64 -> ?flags:int64 ->
   unit -> t
-
-val icmp_echo : ?src:int64 -> ?dst:int64 -> ?seq:int64 -> unit -> t
 
 val arp_request : ?spa:int64 -> ?tpa:int64 -> unit -> t
 

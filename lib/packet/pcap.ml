@@ -75,8 +75,3 @@ let decode s =
 
 let write_file path records =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (encode records))
-
-let read_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> decode s
-  | exception Sys_error e -> Error e

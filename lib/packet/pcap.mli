@@ -14,5 +14,3 @@ val decode : string -> (record list, string) result
 (** Accepts the little-endian microsecond format {!encode} produces. *)
 
 val write_file : string -> record list -> unit
-
-val read_file : string -> (record list, string) result

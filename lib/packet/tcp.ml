@@ -13,9 +13,7 @@ type t = {
 
 let size_bits = 160
 
-let flag_fin = 0x01L
 let flag_syn = 0x02L
-let flag_rst = 0x04L
 let flag_ack = 0x10L
 
 let make ?(src_port = 1234L) ?(dst_port = 80L) ?(seq = 0L) ?(flags = flag_syn) () =

@@ -20,8 +20,6 @@ val make :
 
 val flag_syn : int64
 val flag_ack : int64
-val flag_fin : int64
-val flag_rst : int64
 
 val encode : Bitstring.Writer.t -> t -> unit
 val decode : Bitstring.Reader.t -> t

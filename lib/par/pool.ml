@@ -15,8 +15,6 @@ type t = {
   mutable domains : unit Domain.t list;
 }
 
-let recommended_jobs () = Domain.recommended_domain_count ()
-
 let attempt f index =
   try
     f index;

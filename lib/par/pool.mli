@@ -25,9 +25,8 @@
 type t
 
 val create : jobs:int -> t
-(** Spawn a pool of [max 1 jobs] workers ([jobs - 1] domains). Callers
-    should bound [jobs] by {!recommended_jobs}; larger values work but
-    cannot run concurrently. *)
+(** Spawn a pool of [max 1 jobs] workers ([jobs - 1] domains). Values
+    above the host's core count work but cannot run concurrently. *)
 
 val jobs : t -> int
 (** Worker count (including the calling domain), always [>= 1]. *)
@@ -54,8 +53,6 @@ val map_chunks :
     a shared atomic cursor and apply [f ~worker i xs.(i)] to each
     element. Results land at their input index, so the output equals the
     sequential map regardless of scheduling. [worker] identifies the
-    executing worker for per-worker state (see {!Shard}). *)
-
-val recommended_jobs : unit -> int
-(** The host's available core count (from [Domain.recommended_domain_count]):
-    the sensible upper bound for [jobs]. *)
+    executing worker for per-worker state, such as the replica array
+    [Netdebug.Usecases.Functional] and [Net.Fleet] build before the pool
+    runs. *)

@@ -40,16 +40,6 @@ let name = function
   | Select_cases_truncated n -> Printf.sprintf "select-cases-%d" n
   | Checksum_not_handled -> "checksum-not-handled"
 
-let describe = function
-  | Reject_unimplemented ->
-      "parser 'reject' compiles to 'accept'; packets that should be dropped are forwarded"
-  | Ternary_as_exact -> "ternary keys silently compiled as exact match on the value"
-  | Shift_width_truncated n -> Printf.sprintf "shift amounts truncated to %d bits" n
-  | Egress_drop_ignored -> "mark_to_drop has no effect in the egress control"
-  | Select_cases_truncated n ->
-      Printf.sprintf "only the first %d select cases per state are compiled" n
-  | Checksum_not_handled -> "checksum verification and update blocks are skipped"
-
 let pp ppf t =
   if t = [] then Format.pp_print_string ppf "(none)"
   else

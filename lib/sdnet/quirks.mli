@@ -42,5 +42,4 @@ val select_truncation : t -> int option
 val has : t -> quirk -> bool
 
 val name : quirk -> string
-val describe : quirk -> string
 val pp : Format.formatter -> t -> unit

@@ -6,8 +6,6 @@ type t = { name : string; mutable value : int }
 
 let create name = { name; value = 0 }
 
-let name t = t.name
-
 let incr t = t.value <- t.value + 1
 
 let add t n = t.value <- t.value + Int64.to_int n
@@ -15,8 +13,6 @@ let add t n = t.value <- t.value + Int64.to_int n
 let get t = Int64.of_int t.value
 
 let reset t = t.value <- 0
-
-let pp ppf t = Format.fprintf ppf "%s=%d" t.name t.value
 
 module Set = struct
   type counter = t

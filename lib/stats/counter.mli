@@ -6,12 +6,10 @@
 type t
 
 val create : string -> t
-val name : t -> string
 val incr : t -> unit
 val add : t -> int64 -> unit
 val get : t -> int64
 val reset : t -> unit
-val pp : Format.formatter -> t -> unit
 
 module Set : sig
   (** A registry of counters addressed by name, e.g. the counter block of a

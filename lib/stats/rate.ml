@@ -19,8 +19,6 @@ let record t ~now_ns ~bytes =
 
 let packets t = t.packets
 
-let bytes t = t.bytes
-
 let duration_ns t = if t.packets < 2 then 0. else t.last_ns -. t.first_ns
 
 let packets_per_sec t =
@@ -42,8 +40,3 @@ let clear t =
   t.first_bytes <- 0;
   t.first_ns <- nan;
   t.last_ns <- nan
-
-let pp ppf t =
-  Format.fprintf ppf "%d pkts, %.2f Mpps, %.2f Gb/s" t.packets
-    (packets_per_sec t /. 1e6)
-    (gbps t)

@@ -13,17 +13,8 @@ val record : t -> now_ns:float -> bytes:int -> unit
 
 val packets : t -> int
 
-val bytes : t -> int
-
-val duration_ns : t -> float
-(** Time between first and last observation; 0 with <2 observations. *)
-
 val packets_per_sec : t -> float
-
-val bits_per_sec : t -> float
 
 val gbps : t -> float
 
 val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit

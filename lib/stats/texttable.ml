@@ -1,12 +1,8 @@
-type row = Cells of string list | Separator
-
-type t = { headers : string list; mutable rows : row list }
+type t = { headers : string list; mutable rows : string list list }
 
 let create headers = { headers; rows = [] }
 
-let add_row t cells = t.rows <- Cells cells :: t.rows
-
-let add_separator t = t.rows <- Separator :: t.rows
+let add_row t cells = t.rows <- cells :: t.rows
 
 let normalize ncols cells =
   let rec take n = function
@@ -18,16 +14,12 @@ let normalize ncols cells =
 
 let render t =
   let ncols = List.length t.headers in
-  let rows = List.rev t.rows in
-  let all_cells =
-    t.headers
-    :: List.filter_map (function Cells c -> Some (normalize ncols c) | Separator -> None) rows
-  in
+  let rows = List.rev_map (normalize ncols) t.rows in
   let widths = Array.make ncols 0 in
   List.iter
     (fun cells ->
       List.iteri (fun i c -> if String.length c > widths.(i) then widths.(i) <- String.length c) cells)
-    all_cells;
+    (t.headers :: rows);
   let buf = Buffer.create 256 in
   let pad s w = s ^ String.make (w - String.length s) ' ' in
   let emit_cells cells =
@@ -39,9 +31,9 @@ let render t =
     Buffer.add_string buf " |\n"
   in
   let emit_sep () =
-    Array.iteri
-      (fun i w ->
-        Buffer.add_string buf (if i = 0 then "+" else "+");
+    Array.iter
+      (fun w ->
+        Buffer.add_char buf '+';
         Buffer.add_string buf (String.make (w + 2) '-'))
       widths;
     Buffer.add_string buf "+\n"
@@ -49,8 +41,6 @@ let render t =
   emit_sep ();
   emit_cells t.headers;
   emit_sep ();
-  List.iter (function Cells c -> emit_cells c | Separator -> emit_sep ()) rows;
+  List.iter emit_cells rows;
   emit_sep ();
   Buffer.contents buf
-
-let pp ppf t = Format.pp_print_string ppf (render t)

@@ -12,8 +12,4 @@ val add_row : t -> string list -> unit
 (** Rows shorter than the header are padded with empty cells; longer rows
     are truncated. *)
 
-val add_separator : t -> unit
-
 val render : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -26,7 +26,7 @@ let witness_of path model =
   let port = port land 0x3 in
   (port, Sexec.witness_bits path model)
 
-let assertions ?seed program runtime =
+let assertions program runtime =
   let run = Sexec.explore program runtime in
   let by_msg = Hashtbl.create 8 in
   List.iter
@@ -40,7 +40,7 @@ let assertions ?seed program runtime =
       List.iter
         (fun (conds, cond) ->
           if !violation = None then
-            match Solver.solve ?seed (Sym.not_ cond :: conds) with
+            match Solver.solve (Sym.not_ cond :: conds) with
             | Solver.Sat model ->
                 (* build a pseudo-path for witness rendering: reuse the first
                    explored path with the same condition prefix if any *)
@@ -88,7 +88,7 @@ let rejected_are_dropped program runtime =
     f_witness = None;
   }
 
-let reject_reachable ?seed program runtime =
+let reject_reachable program runtime =
   let run = Sexec.explore program runtime in
   let i = ref 0 in
   List.filter_map
@@ -96,7 +96,7 @@ let reject_reachable ?seed program runtime =
       match p.Sexec.p_ending with
       | Sexec.Rejected err -> (
           incr i;
-          match Solver.solve ?seed p.Sexec.p_conds with
+          match Solver.solve p.Sexec.p_conds with
           | Solver.Sat model ->
               Some
                 {
@@ -119,7 +119,7 @@ let reject_reachable ?seed program runtime =
       | Sexec.Dropped _ | Sexec.Forwarded -> None)
     run.Sexec.paths
 
-let forward_requires_header ?seed ~header program runtime =
+let forward_requires_header ~header program runtime =
   let run = Sexec.explore program runtime in
   let offending =
     List.filter
@@ -135,7 +135,7 @@ let forward_requires_header ?seed ~header program runtime =
   let rec first_sat = function
     | [] -> None
     | p :: rest -> (
-        match Solver.solve ?seed p.Sexec.p_conds with
+        match Solver.solve p.Sexec.p_conds with
         | Solver.Sat model -> Some (p, model)
         | Solver.Unsat | Solver.Unknown -> first_sat rest)
   in
@@ -157,7 +157,7 @@ let forward_requires_header ?seed ~header program runtime =
         f_witness = None;
       }
 
-let ttl_decremented ?seed program runtime =
+let ttl_decremented program runtime =
   let run = Sexec.explore program runtime in
   let result = ref None in
   List.iter
@@ -179,7 +179,7 @@ let ttl_decremented ?seed program runtime =
                   (* structural mismatch: confirm reachability of the path
                      where they differ *)
                   let differs = Sym.bin Ast.Neq final_ttl expected in
-                  match Solver.solve ?seed (differs :: p.Sexec.p_conds) with
+                  match Solver.solve (differs :: p.Sexec.p_conds) with
                   | Solver.Sat model -> result := Some (Violated, Some (witness_of p model))
                   | Solver.Unsat -> ()
                   | Solver.Unknown -> result := Some (Unknown, None)
@@ -238,7 +238,7 @@ let action_coverage program runtime =
         tbl.Ast.t_actions)
     program.Ast.p_tables
 
-let egress_port_bounded ?seed ~ports ?(allowed = []) program runtime =
+let egress_port_bounded ~ports ?(allowed = []) program runtime =
   let run = Sexec.explore program runtime in
   let offending = ref None in
   List.iter
@@ -248,7 +248,7 @@ let egress_port_bounded ?seed ~ports ?(allowed = []) program runtime =
         | Some v ->
             let port = Value.to_int v in
             if port >= ports && not (List.mem port allowed) then
-              (match Solver.solve ?seed p.Sexec.p_conds with
+              (match Solver.solve p.Sexec.p_conds with
               | Solver.Sat model -> offending := Some (port, p, Some model)
               | Solver.Unsat -> ()
               | Solver.Unknown -> offending := Some (port, p, None))
@@ -273,13 +273,13 @@ let egress_port_bounded ?seed ~ports ?(allowed = []) program runtime =
         f_witness = None;
       }
 
-let no_invalid_header_reads ?seed program runtime =
+let no_invalid_header_reads program runtime =
   let run = Sexec.explore program runtime in
   let offending = ref None and unresolved = ref 0 in
   List.iter
     (fun p ->
       if !offending = None && p.Sexec.p_invalid_reads <> [] then
-        match Solver.solve ?seed p.Sexec.p_conds with
+        match Solver.solve p.Sexec.p_conds with
         | Solver.Sat model -> offending := Some (p, model)
         | Solver.Unsat -> ()
         | Solver.Unknown -> incr unresolved)
@@ -312,15 +312,15 @@ let no_invalid_header_reads ?seed program runtime =
         f_witness = None;
       }
 
-let run_all ?seed program runtime =
+let run_all program runtime =
   let has_ipv4 = Ast.find_header program "ipv4" <> None in
-  assertions ?seed program runtime
+  assertions program runtime
   @ [ rejected_are_dropped program runtime ]
   @ (if has_ipv4 then
        [
-         forward_requires_header ?seed ~header:"ipv4" program runtime;
-         ttl_decremented ?seed program runtime;
+         forward_requires_header ~header:"ipv4" program runtime;
+         ttl_decremented program runtime;
        ]
      else [])
-  @ [ no_invalid_header_reads ?seed program runtime ]
+  @ [ no_invalid_header_reads program runtime ]
   @ action_coverage program runtime

@@ -24,7 +24,7 @@ type finding = {
           reachability-style properties, exercising the property *)
 }
 
-val assertions : ?seed:int -> P4ir.Ast.program -> P4ir.Runtime.t -> finding list
+val assertions : P4ir.Ast.program -> P4ir.Runtime.t -> finding list
 (** One finding per [Assert] message in the program: [Violated] when some
     obligation's negation is satisfiable, else [Unknown] when some
     obligation's search gave up, else [Holds]. *)
@@ -35,20 +35,18 @@ val rejected_are_dropped : P4ir.Ast.program -> P4ir.Runtime.t -> finding
     unable to see the SDNet bug, because the hardware never enters the
     analysis. *)
 
-val reject_reachable : ?seed:int -> P4ir.Ast.program -> P4ir.Runtime.t -> finding list
+val reject_reachable : P4ir.Ast.program -> P4ir.Runtime.t -> finding list
 (** One finding per satisfiable reject path, each with a witness packet.
     These are ready-made negative test vectors. *)
 
-val forward_requires_header :
-  ?seed:int -> header:string -> P4ir.Ast.program -> P4ir.Runtime.t -> finding
+val forward_requires_header : header:string -> P4ir.Ast.program -> P4ir.Runtime.t -> finding
 (** No packet is forwarded while [header] is invalid. *)
 
-val ttl_decremented : ?seed:int -> P4ir.Ast.program -> P4ir.Runtime.t -> finding
+val ttl_decremented : P4ir.Ast.program -> P4ir.Runtime.t -> finding
 (** Every forwarded packet with a valid "ipv4" header leaves with
     [ttl_out = ttl_in - 1]. Catches {!P4ir.Programs.buggy_router}. *)
 
 val egress_port_bounded :
-  ?seed:int ->
   ports:int ->
   ?allowed:int list ->
   P4ir.Ast.program ->
@@ -58,8 +56,7 @@ val egress_port_bounded :
     (or in [allowed], e.g. a CPU punt port). Paths with symbolic egress
     (reflection) are skipped. *)
 
-val no_invalid_header_reads :
-  ?seed:int -> P4ir.Ast.program -> P4ir.Runtime.t -> finding
+val no_invalid_header_reads : P4ir.Ast.program -> P4ir.Runtime.t -> finding
 (** No reachable path reads a field of a header that was never parsed or
     was invalidated — such reads silently yield zero and almost always
     indicate a missing validity guard. [Unknown] when no such path is
@@ -70,7 +67,7 @@ val action_coverage : P4ir.Ast.program -> P4ir.Runtime.t -> finding list
     (dead actions are suspicious — typically missing entries or
     unreachable control flow). *)
 
-val run_all : ?seed:int -> P4ir.Ast.program -> P4ir.Runtime.t -> finding list
+val run_all : P4ir.Ast.program -> P4ir.Runtime.t -> finding list
 (** The standard battery: assertions, rejected-are-dropped,
     forward-requires-ipv4 (when the program has an ipv4 header),
     ttl-decremented (idem), no-invalid-header-reads, action coverage. *)

@@ -442,18 +442,3 @@ let witness_bits path model =
   in
   let payload = Bitstring.of_string (String.make 16 '\000') in
   Bitstring.concat (List.map (fun (_, _, b) -> b) rendered @ [ payload ])
-
-let pp_ending ppf = function
-  | Rejected e -> Format.fprintf ppf "rejected(%s)" (Stdmeta.error_name e)
-  | Dropped w -> Format.fprintf ppf "dropped(%s)" w
-  | Forwarded -> Format.fprintf ppf "forwarded"
-
-let pp_path ppf p =
-  Format.fprintf ppf "@[<v 2>path -> %a@," pp_ending p.p_ending;
-  Format.fprintf ppf "extracts: %s@,"
-    (String.concat ">" (List.map fst p.p_extracts));
-  Format.fprintf ppf "tables: %s@,"
-    (String.concat ">" (List.map (fun (t, a) -> t ^ ":" ^ a) p.p_tables));
-  Format.fprintf ppf "conds:@,";
-  List.iter (fun c -> Format.fprintf ppf "  %a@," Sym.pp c) p.p_conds;
-  Format.fprintf ppf "@]"

@@ -46,5 +46,3 @@ val witness_bits : path -> Solver.model -> Bitutil.Bitstring.t
     [model]: extracted headers in order with model values (checksum
     repaired when the path assumes it verifies), followed by a small
     padding payload. *)
-
-val pp_path : Format.formatter -> path -> unit

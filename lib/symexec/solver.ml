@@ -9,16 +9,6 @@ type result = Sat of model | Unsat | Unknown
 let model_value m id =
   match Hashtbl.find_opt m id with Some v -> v | None -> Value.zero 1
 
-let model_bindings m =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) m []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let pp_model name_of ppf m =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-    (fun ppf (id, v) -> Format.fprintf ppf "%s=%a" (name_of id) Value.pp v)
-    ppf (model_bindings m)
-
 let holds m conj =
   List.for_all
     (fun c ->

@@ -42,8 +42,3 @@ val model_value : model -> int -> P4ir.Value.t
 
 val holds : model -> Sym.t list -> bool
 (** Re-check a conjunction under a model (unassigned variables read 0). *)
-
-val model_bindings : model -> (int * P4ir.Value.t) list
-
-val pp_model : (int -> string) -> Format.formatter -> model -> unit
-(** [pp_model name_of ppf m] renders using the caller's variable names. *)

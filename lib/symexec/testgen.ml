@@ -338,5 +338,3 @@ let render r =
       pf "      %s\n" v.v_descr)
     r.tg_vectors;
   Buffer.contents b
-
-let pp ppf r = Format.pp_print_string ppf (render r)

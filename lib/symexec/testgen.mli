@@ -78,12 +78,3 @@ val expected_str : expected -> string
 val render : report -> string
 (** Deterministic text report (golden-tested; no wall-clock or
     machine-dependent content). *)
-
-val pp : Format.formatter -> report -> unit
-
-(**/**)
-
-val ensure_invalid_checksum : Sexec.path -> Bitutil.Bitstring.t -> Bitutil.Bitstring.t
-(** Exposed for tests. *)
-
-(**/**)

@@ -22,6 +22,10 @@
 
 type source = External of int | Generator
 
+val generator_port : int
+(** The ingress port a [Generator] packet carries: 510, a non-physical
+    port one below the 511 drop port. *)
+
 type output = {
   o_port : int;  (** egress_spec as the pipeline computed it *)
   o_bits : Bitutil.Bitstring.t;

@@ -98,13 +98,3 @@ let snapshot t =
   List.sort
     (fun (a, _, _) (b, _, _) -> String.compare a b)
     (counters @ gauges @ hists)
-
-let pp ppf t =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.fprintf ppf "@\n")
-    (fun ppf (name, _, v) ->
-      match v with
-      | Counter c -> Format.fprintf ppf "%-40s %Ld" name c
-      | Gauge g -> Format.fprintf ppf "%-40s %.6g" name g
-      | Histogram h -> Format.fprintf ppf "%-40s %a" name Stats.Histogram.pp_summary h)
-    ppf (snapshot t)

@@ -42,10 +42,9 @@ val merge : ?prefix:string -> into:t -> t -> unit
     metric binds its help exactly once. Gauges are {e not} merged: they
     are live callbacks closed over [src]'s owner and would outlive it.
     [src] is left unchanged. This is the deterministic join step for
-    per-worker registry shards (see [Par.Shard]): folding shards in
-    ascending worker order yields the same totals as a sequential run,
-    because counter addition and histogram absorption are associative
-    and commutative.
+    per-worker registry replicas: folding them in ascending worker order
+    yields the same totals as a sequential run, because counter addition
+    and histogram absorption are associative and commutative.
 
     [prefix] (default [""]) is prepended to every folded metric name:
     the namespacing that lets N per-device registries fold into one
@@ -58,5 +57,3 @@ val merge : ?prefix:string -> into:t -> t -> unit
 val snapshot : t -> (string * string * value) list
 (** All metrics — every counter in the set, each gauge read now, each
     histogram — as (name, help, value), sorted by name. *)
-
-val pp : Format.formatter -> t -> unit

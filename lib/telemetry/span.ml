@@ -161,12 +161,6 @@ let dropped t = max 0 (t.total - t.capacity)
 
 let capacity t = t.capacity
 
-let clear t =
-  t.next <- 0;
-  t.total <- 0;
-  t.tick <- 0;
-  t.next_id <- 0
-
 let materialize t i =
   {
     sp_id = t.ids.(i);

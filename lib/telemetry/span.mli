@@ -102,13 +102,9 @@ val count : t -> int
 (** Spans currently retained. *)
 
 val dropped : t -> int
-(** Spans evicted by the ring bound since creation/{!clear}. *)
+(** Spans evicted by the ring bound since creation. *)
 
 val capacity : t -> int
-
-val clear : t -> unit
-(** Forget all spans and reset ids and sampling phase (interned names are
-    kept). *)
 
 val spans : t -> span list
 (** Retained spans in record order (oldest first). *)

@@ -491,7 +491,12 @@ let test_check_batch_restores_rules () =
   check_bool "background not judged after a raise" true (judged () = after);
   check_bool "pre-call rules re-armed after a raise" true (Netdebug.Checker.rules chk = pre);
   (* a caller's own rules come back too *)
-  let mine = [ Controller.expect_port ~name:"mine" 1 ] in
+  let mine =
+    [
+      Controller.expect ~name:"mine"
+        (Ast.Bin (Ast.Eq, Ast.Std Ast.Egress_spec, Ast.Const (Value.of_int ~width:9 1)));
+    ]
+  in
   Netdebug.Checker.configure chk mine;
   ignore (Usecases.Functional.check_batch oracle rt h [| fwd |]);
   check_bool "caller's rules re-armed" true (Netdebug.Checker.rules chk = mine);

@@ -1,11 +1,9 @@
 (* Tests for the parallel execution engine: pool mechanics (chunked maps,
-   exception propagation, close semantics), per-worker shards, merge
-   helpers, and the end-to-end guarantee that matters — a parallel
-   functional sweep reports exactly what the sequential one does. *)
+   exception propagation, close semantics), the epoch channel, and the
+   end-to-end guarantee that matters — a parallel functional sweep
+   reports exactly what the sequential one does. *)
 
 module Pool = Par.Pool
-module Shard = Par.Shard
-module Merge = Par.Merge
 module Programs = P4ir.Programs
 module Quirks = Sdnet.Quirks
 module Functional = Netdebug.Usecases.Functional
@@ -88,50 +86,6 @@ let test_exceptions_propagate () =
     (Invalid_argument "Par.Pool.run: pool is closed") (fun () ->
       Pool.run pool ignore)
 
-(* ---------------- shard ---------------- *)
-
-let test_shard_init_once_per_worker () =
-  let inits = Atomic.make 0 in
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let shard =
-        Shard.create pool (fun w ->
-            Atomic.incr inits;
-            w * 10)
-      in
-      let xs = Array.init 200 (fun i -> i) in
-      (* Alcotest prints every check through one shared Format queue,
-         which is not domain-safe: record inside the tasks and assert on
-         the caller after the join *)
-      let seen =
-        Pool.map_chunks pool ~chunk:4
-          (fun ~worker _ _ -> (worker, Shard.get shard ~worker))
-          xs
-      in
-      Array.iter
-        (fun (worker, slot) -> check_int "slot belongs to its worker" (worker * 10) slot)
-        seen;
-      check_int "one init per initialized slot" (Shard.initialized shard)
-        (Atomic.get inits);
-      check_bool "at least the caller's slot" true (Shard.initialized shard >= 1);
-      (* iteration is ascending worker order *)
-      let order = Shard.fold shard ~init:[] ~f:(fun acc w _ -> w :: acc) in
-      Alcotest.(check (list int))
-        "ascending worker order"
-        (List.sort compare order)
-        (List.rev order))
-
-(* ---------------- merge ---------------- *)
-
-let test_merge_helpers () =
-  check_int "reduce" 10 (Merge.reduce ( + ) 0 [| 1; 2; 3; 4 |]);
-  Alcotest.(check (list int))
-    "concat in slot order" [ 1; 2; 3; 4; 5 ]
-    (Merge.concat [| [ 1; 2 ]; []; [ 3 ]; [ 4; 5 ] |]);
-  Alcotest.(check (list (pair string int)))
-    "dedup keeps first occurrence"
-    [ ("a", 1); ("b", 2); ("c", 5) ]
-    (Merge.dedup_by ~key:fst [ ("a", 1); ("b", 2); ("a", 3); ("b", 4); ("c", 5) ])
-
 (* ---------------- parallel functional sweep ---------------- *)
 
 let mismatch_facts (r : Functional.report) =
@@ -185,14 +139,20 @@ let test_functional_register_program_jobs_invariance () =
        (Functional.run ~jobs:1 (Harness.deploy ~quirks:Quirks.none Programs.rate_limiter)))
 
 let test_functional_parallel_telemetry_merged () =
-  let h = Harness.deploy ~span_sampling:0 Programs.basic_router in
-  let r = Functional.run ~fuzz:16 ~jobs:4 h in
   (* after the join, the caller's device accounts for every worker's
-     generator traffic: one generated packet per vector *)
-  Alcotest.(check int64)
-    "merged generator counter covers the whole sweep"
-    (Int64.of_int r.Functional.fr_tested)
-    (Counter.Set.get (Device.counters h.Harness.device) "rx/generator")
+     generator traffic: one generated packet per vector — also when
+     fewer vectors than workers leave replicas idle *)
+  let check what run =
+    let h = Harness.deploy ~span_sampling:0 Programs.basic_router in
+    let r = run h in
+    Alcotest.(check int64)
+      ("merged generator counter covers the whole sweep: " ^ what)
+      (Int64.of_int r.Functional.fr_tested)
+      (Counter.Set.get (Device.counters h.Harness.device) "rx/generator")
+  in
+  check "16 fuzz vectors" (Functional.run ~fuzz:16 ~jobs:4);
+  let v = Packet.serialize (Packet.udp_ipv4 ~dst:0x0A000005L ()) in
+  check "one vector, four workers" (Functional.run ~vectors:[ v ] ~fuzz:0 ~jobs:4)
 
 let test_replicate_is_equivalent_and_independent () =
   let h = Harness.deploy Programs.basic_router in
@@ -285,14 +245,12 @@ let () =
           Alcotest.test_case "run covers all workers" `Quick test_run_covers_all_workers;
           Alcotest.test_case "exceptions propagate" `Quick test_exceptions_propagate;
         ] );
-      ("shard", [ Alcotest.test_case "init once per worker" `Quick test_shard_init_once_per_worker ]);
       ( "epoch",
         [
           Alcotest.test_case "publish/drain order" `Quick test_epoch_publish_drain;
           Alcotest.test_case "cursor isolation" `Quick test_epoch_cursor_isolation;
           Alcotest.test_case "concurrent publish" `Quick test_epoch_concurrent_publish;
         ] );
-      ("merge", [ Alcotest.test_case "helpers" `Quick test_merge_helpers ]);
       ( "functional",
         [
           Alcotest.test_case "parallel identity" `Quick test_functional_parallel_identity;
