@@ -93,15 +93,17 @@ module Common_args = struct
     in
     Arg.(value & opt quirk_set Quirks.default & info [ "quirks" ] ~docv:"SPEC" ~doc)
 
-  (* an integer of at least [lo]: anything else is a usage error naming
+  (* an integer in [\[lo, hi\]]: anything else is a usage error naming
      the flag or environment variable it came from *)
-  let int_at_least lo what =
+  let int_between lo hi what =
     let parse s =
       match int_of_string_opt s with
-      | Some n when n >= lo -> Ok n
+      | Some n when n >= lo && n <= hi -> Ok n
       | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
     in
     Arg.conv (parse, Format.pp_print_int)
+
+  let int_at_least lo what = int_between lo max_int what
 
   let positive_int = int_at_least 1 "a positive integer"
 
@@ -749,7 +751,8 @@ let soak_cmd =
   in
   let validations_arg =
     Arg.(
-      value & opt int 1
+      value
+      & opt Common_args.positive_int 1
       & info [ "validations" ] ~docv:"N"
           ~doc:"Generator/checker validation vectors per window.")
   in
@@ -851,7 +854,8 @@ let serve_cmd =
   in
   let port_arg =
     Arg.(
-      value & opt int 9464
+      value
+      & opt (Common_args.int_between 0 65535 "a TCP port number (0-65535)") 9464
       & info [ "metrics-port" ] ~docv:"PORT"
           ~doc:"TCP port for the HTTP endpoint (0 picks an ephemeral port).")
   in

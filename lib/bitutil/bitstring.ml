@@ -86,9 +86,20 @@ let get_bit t i =
   if i < 0 || i >= t.len then invalid_arg "Bitstring.get_bit";
   get_bit_raw t.data i
 
-(* Byte-at-a-time read: at most 9 iterations for a 64-bit field, vs one
-   iteration per bit. This is the hot path of both parser engines. *)
-let extract_raw data off width =
+(* The first byte of an 8-byte window of a [len]-byte buffer that holds
+   bits [off, off + width), or -1 when there is none. The window starts at
+   the field's first byte, or at the buffer's last 8 bytes when a load
+   from there would cross the end; callers have checked
+   [off + width <= len * 8]. *)
+let window len off width =
+  if width = 0 || len < 8 then -1
+  else begin
+    let p = if (off lsr 3) + 8 <= len then off lsr 3 else len - 8 in
+    if off - (p lsl 3) + width <= 64 then p else -1
+  end
+
+(* Byte-at-a-time read: at most 9 iterations for a 64-bit field. *)
+let extract_bytes data off width =
   let v = ref 0L and pos = ref off and remaining = ref width in
   while !remaining > 0 do
     let bit_in_byte = !pos land 7 in
@@ -102,15 +113,25 @@ let extract_raw data off width =
   done;
   !v
 
+(* One big-endian 64-bit load and two shifts when the field lies in one
+   window (the left shift drops the bits before the field, the right one
+   those after it), else the byte loop. This is the hot path of both
+   parser engines. *)
+let extract_raw data off width =
+  let p = window (String.length data) off width in
+  if p < 0 then extract_bytes data off width
+  else
+    Int64.shift_right_logical
+      (Int64.shift_left (String.get_int64_be data p) (off - (p lsl 3)))
+      (64 - width)
+
 let extract t ~off ~width =
   if width < 0 || width > 64 then invalid_arg "Bitstring.extract: width";
   if off < 0 || off + width > t.len then invalid_arg "Bitstring.extract: range";
   extract_raw t.data off width
 
-(* Overwrite [width] bits at bit [off] with the low bits of [v], MSB first,
-   byte-at-a-time from the LSB end. Every target bit is written (both ones
-   and zeros), so stale buffer content cannot leak through. *)
-let blit_int64_raw b ~off ~width v =
+(* Byte-at-a-time write from the LSB end. *)
+let blit_bytes b off width v =
   let v = ref v and remaining = ref width in
   let pos = ref (off + width) in
   while !remaining > 0 do
@@ -127,6 +148,21 @@ let blit_int64_raw b ~off ~width v =
     remaining := !remaining - nbits;
     pos := !pos - nbits
   done
+
+(* Overwrite [width] bits at bit [off] with the low bits of [v], MSB first:
+   one 64-bit read-modify-write when the field lies in one window (the
+   window's other bits are written back as they were), else the byte
+   loop. Every target bit is written (both ones and zeros), so stale
+   buffer content cannot leak through. *)
+let blit_int64_raw b ~off ~width v =
+  let p = window (Bytes.length b) off width in
+  if p < 0 then blit_bytes b off width v
+  else begin
+    let sh = 64 - (off - (p lsl 3)) - width in
+    let mask = Int64.shift_left (Int64.shift_right_logical (-1L) (64 - width)) sh in
+    let keep = Int64.logand (Bytes.get_int64_be b p) (Int64.lognot mask) in
+    Bytes.set_int64_be b p (Int64.logor keep (Int64.logand (Int64.shift_left v sh) mask))
+  end
 
 let blit_int64 b ~off ~width v =
   if width < 0 || width > 64 then invalid_arg "Bitstring.blit_int64: width";
@@ -231,10 +267,9 @@ module Builder = struct
 
   (* Unlike {!Writer}, the buffer is retained across {!reset}, so a
      steady-state emit loop (the staged deparser) allocates nothing per
-     packet except the final {!contents} copy — and even that can be
-     skipped by summing over {!buffer} directly. All writes fully
-     overwrite their target bits, so stale content from a previous packet
-     never leaks; only the pad bits of the final partial byte need
+     packet except the final {!contents} copy. All writes fully overwrite
+     their target bits, so stale content from a previous packet never
+     leaks; only the pad bits of the final partial byte need
      canonicalizing, which {!contents} does. *)
   type t = { mutable buf : Bytes.t; mutable bits : int }
 
@@ -273,8 +308,6 @@ module Builder = struct
     ensure b len;
     blit_bits src.data off b.buf b.bits len;
     b.bits <- b.bits + len
-
-  let buffer b = b.buf
 
   let contents b =
     let nbytes = bytes_for_bits b.bits in

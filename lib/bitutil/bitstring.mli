@@ -35,7 +35,12 @@ val get_bit : t -> int -> bool
 
 val extract : t -> off:int -> width:int -> int64
 (** Read [width] bits starting at bit offset [off] as an unsigned integer.
-    [width <= 64]. @raise Invalid_argument when out of range. *)
+    [width <= 64]. When the string has at least 8 bytes and the field's
+    bits lie inside one 8-byte window — the one starting at the field's
+    first byte, or the last 8 bytes when that one would run past the
+    end — this is one big-endian 64-bit load and two shifts; otherwise
+    the field is read a byte at a time.
+    @raise Invalid_argument when out of range. *)
 
 val sub : t -> off:int -> len:int -> t
 
@@ -45,8 +50,12 @@ val set_int64 : t -> off:int -> width:int -> int64 -> t
 val blit_int64 : Bytes.t -> off:int -> width:int -> int64 -> unit
 (** In-place update of [width] bits at bit offset [off] in a raw byte
     buffer, MSB first — the mutable counterpart of {!set_int64}. Every
-    target bit is overwritten. @raise Invalid_argument when out of
-    range or [width] is not in [\[0, 64\]]. *)
+    target bit is overwritten. Under {!extract}'s condition this is one
+    64-bit read-modify-write (the window's other bits are written back
+    unchanged); otherwise it writes a byte at a time. {!Writer.push_int64}
+    and {!Builder.add_int64} write through it.
+    @raise Invalid_argument when out of range or [width] is not in
+    [\[0, 64\]]. *)
 
 val append : t -> t -> t
 
@@ -98,12 +107,6 @@ module Builder : sig
   val add_sub : t -> bits -> off:int -> len:int -> unit
   (** Append [len] bits of [src] starting at [off] without materializing
       the intermediate {!sub}. *)
-
-  val buffer : t -> Bytes.t
-  (** The live backing buffer ({!length} bits valid, pad bits of the final
-      partial byte unspecified). For zero-copy consumers such as
-      {!Checksum.ones_complement_sum_bytes}; invalidated by further
-      writes. *)
 
   val contents : t -> bits
   (** Snapshot as an immutable bit string (allocates the copy). *)

@@ -1,3 +1,10 @@
+let fold sum =
+  let sum = ref sum in
+  while !sum lsr 16 <> 0 do
+    sum := (!sum land 0xffff) + (!sum lsr 16)
+  done;
+  !sum
+
 let ones_complement_sum data =
   let n = String.length data in
   let sum = ref 0 in
@@ -7,38 +14,9 @@ let ones_complement_sum data =
     i := !i + 2
   done;
   if n land 1 = 1 then sum := !sum + (Char.code data.[n - 1] lsl 8);
-  (* fold carries *)
-  while !sum lsr 16 <> 0 do
-    sum := (!sum land 0xffff) + (!sum lsr 16)
-  done;
-  !sum
-
-(* Same sum over the first [bits] bits of a reused scratch buffer (e.g. a
-   Bitstring.Builder backing buffer), masking the pad bits of the final
-   partial byte so stale content is treated as the zero padding that
-   [Bitstring.to_string] would have produced. Allocation-free. *)
-let ones_complement_sum_bytes data ~bits =
-  let n = (bits + 7) / 8 in
-  let pad = (n * 8) - bits in
-  let byte i =
-    let b = Char.code (Bytes.unsafe_get data i) in
-    if i = n - 1 && pad > 0 then b land (0xff lsl pad) land 0xff else b
-  in
-  let sum = ref 0 in
-  let i = ref 0 in
-  while !i + 1 < n do
-    sum := !sum + ((byte !i lsl 8) lor byte (!i + 1));
-    i := !i + 2
-  done;
-  if n land 1 = 1 then sum := !sum + (byte (n - 1) lsl 8);
-  while !sum lsr 16 <> 0 do
-    sum := (!sum land 0xffff) + (!sum lsr 16)
-  done;
-  !sum
+  fold !sum
 
 let checksum data = lnot (ones_complement_sum data) land 0xffff
-
-let checksum_bytes data ~bits = lnot (ones_complement_sum_bytes data ~bits) land 0xffff
 
 let checksum_bits b = checksum (Bitstring.to_string b)
 

@@ -21,6 +21,7 @@ type t = {
 let route ~content_type body = { content_type; body }
 
 let create ?(host = "127.0.0.1") ?(port = 0) routes =
+  if port < 0 || port > 65535 then invalid_arg "Http.create: port must be in 0..65535";
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;

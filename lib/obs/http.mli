@@ -19,7 +19,8 @@ val create : ?host:string -> ?port:int -> (string * route) list -> t
     (the default) picks an ephemeral port — read it back with {!port}.
     The association list maps exact paths (["/metrics"]) to routes;
     query strings are stripped before matching, unknown paths get a 404
-    listing the routes, non-GET methods a 405. *)
+    listing the routes, non-GET methods a 405.
+    @raise Invalid_argument when [port] is not in [\[0, 65535\]]. *)
 
 val port : t -> int
 

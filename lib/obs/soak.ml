@@ -124,6 +124,8 @@ let exit_ok r = r.so_healthy && rate_ok r
 let run ?(cfg = default_cfg) ?health ?sink ?on_window (h : Harness.t) =
   if cfg.sk_budget <= 0 then invalid_arg "Soak.run: budget must be positive";
   if cfg.sk_rate_mpps <= 0. then invalid_arg "Soak.run: rate must be positive";
+  if cfg.sk_validations_per_window < 1 then
+    invalid_arg "Soak.run: validations per window must be positive";
   let device = h.Harness.device in
   let registry = Device.metrics device in
   let ports = (Device.config device).Target.Config.ports in
@@ -174,36 +176,34 @@ let run ?(cfg = default_cfg) ?health ?sink ?on_window (h : Harness.t) =
       sched := !sched +. interval_ns;
       let pkt = Prng.choose prng pool in
       ignore (Device.inject device ~source:(Device.External (Prng.int prng ports)) ~at_ns:!sched pkt);
+      (* the device retains every wire emission for [Device.outputs]; the
+         soak reads none, so drop each as it goes, before a minor
+         collection can promote it *)
+      ignore (Device.outputs device);
       Counter.incr c_bg;
       incr injected
     done;
-    if cfg.sk_validations_per_window > 0 then begin
-      (* the window's validation burst as one batch: one in-device shot
-         per vector, one quiesce for the burst *)
-      let pkts =
-        Array.init cfg.sk_validations_per_window (fun k ->
-            pool.((!vec_idx + k) mod Array.length pool))
-      in
-      let verdicts =
-        Functional.check_batch ~base:(!vec_idx + 1) oracle oracle_rt h pkts
-      in
-      vec_idx := !vec_idx + Array.length pkts;
-      validated := !validated + Array.length pkts;
-      Array.iter
-        (function
-          | Some mm ->
-              Counter.incr c_drift;
-              if List.length !mismatches < 5 then
-                mismatches :=
-                  Printf.sprintf "vector %d: expected %s, got %s" mm.Functional.mm_index
-                    mm.Functional.mm_expected mm.Functional.mm_got
-                  :: !mismatches
-          | None -> Counter.incr c_ok)
-        verdicts
-    end;
-    (* the device retains every wire emission for [Device.outputs]; the
-       soak reads none, so drop the window's before they pile up *)
-    ignore (Device.outputs device);
+    (* the window's validation burst as one batch: one in-device shot per
+       vector, one quiesce for the burst *)
+    let pkts =
+      Array.init cfg.sk_validations_per_window (fun k ->
+          pool.((!vec_idx + k) mod Array.length pool))
+    in
+    let verdicts = Functional.check_batch ~base:(!vec_idx + 1) oracle oracle_rt h pkts in
+    ignore (Device.outputs device);  (* the burst's emissions, likewise *)
+    vec_idx := !vec_idx + Array.length pkts;
+    validated := !validated + Array.length pkts;
+    Array.iter
+      (function
+        | Some mm ->
+            Counter.incr c_drift;
+            if List.length !mismatches < 5 then
+              mismatches :=
+                Printf.sprintf "vector %d: expected %s, got %s" mm.Functional.mm_index
+                  mm.Functional.mm_expected mm.Functional.mm_got
+                :: !mismatches
+        | None -> Counter.incr c_ok)
+      verdicts;
     Profile.tick profile;
     let w = Sampler.sample sampler ~now_ns:(Device.now_ns device) in
     ignore (Health.observe health w);

@@ -14,7 +14,7 @@ type cfg = {
   sk_seed : int;
   sk_rate_mpps : float;  (** offered background rate, virtual Mpkt/s *)
   sk_window_ns : float;  (** sampling / health window, virtual ns *)
-  sk_validations_per_window : int;
+  sk_validations_per_window : int;  (** at least 1 *)
   sk_min_rate_mpps : float;  (** acceptance floor on the sustained rate *)
   sk_p99_ceiling_ns : float;  (** pipeline/latency_ns window-p99 bound *)
   sk_max_queue_depth : float;  (** rxq/depth bound *)
@@ -65,8 +65,11 @@ val run :
     are produced instead of buffering them into the report. [on_window]
     runs after each window's sample+health evaluation — the serve loop
     polls its HTTP listener there. The device's wire emissions are
-    drained ({!Target.Device.outputs}) once per window, so memory stays
-    bounded however long the run; none is retained when [run] returns. *)
+    drained ({!Target.Device.outputs}) after every injected packet and
+    every validation burst, so none lives long enough to be promoted and
+    none is retained when [run] returns.
+    @raise Invalid_argument when the budget, rate or validations per
+    window is not positive. *)
 
 val rate_ok : report -> bool
 

@@ -5,8 +5,8 @@
    precomputed, the parser FSM becomes a dispatch table over state indices,
    match-action tables look up the runtime's incremental [Classifier]
    (equivalent to [Entry.select]), actions become closure chains over a
-   positional argument vector, and the deparser emits into a reused
-   [Bitstring.Builder].
+   positional argument vector, the deparser emits into a reused
+   [Bitstring.Builder], and the IPv4 checksum is summed from the slots.
 
    The contract is strict observational equivalence with the tree-walking
    interpreter ([Parse]/[Exec]/[Deparse]) under the same hooks, including
@@ -191,7 +191,6 @@ and inst = {
   tstates : tstate array;
   i_runtime : Runtime.t;
   mutable regs : (int * Value.t array) array;
-  ck_scratch : Builder.t;
   out_buf : Builder.t;
   mutable always_miss : string -> bool;
   mutable on_count : int -> unit;
@@ -611,6 +610,37 @@ and reg_id (prog : Ast.program) name =
   go 0 prog.Ast.p_registers
 
 (* ------------------------------------------------------------------ *)
+(* IPv4 checksum from the slots                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The RFC 1071 ones'-complement sum of header [hid] as the tree engine
+   renders it — its fields end to end, a final partial 16-bit word padded
+   with zeros — built 16 bits at a time straight from the slots. Field [i]
+   ends [shifts.(i)] bits short of a word boundary, so shifting each of
+   its 16-bit pieces left by that much puts the piece's bits where they
+   sit in their words, give or take factors of 2^16. Those factors do not
+   matter: 2^16 = 1 modulo 0xffff, the folded sum is fixed by the sum
+   modulo 0xffff and by whether it is 0, and both agree with the rendered
+   header's. Slot values never exceed their field's width; the field in
+   slot [skip] reads as zero. *)
+let header_sum fields slots shifts skip =
+  let sum = ref 0 in
+  for i = 0 to Array.length slots - 1 do
+    let slot = Array.unsafe_get slots i in
+    if slot <> skip then begin
+      let v = Array.unsafe_get fields slot in
+      let hi = Int64.to_int (Int64.shift_right_logical v 32)
+      and lo = Int64.to_int (Int64.logand v 0xffffffffL) in
+      let pieces = (hi lsr 16) + (hi land 0xffff) + (lo lsr 16) + (lo land 0xffff) in
+      sum := !sum + (pieces lsl Array.unsafe_get shifts i)
+    end
+  done;
+  Bitutil.Checksum.fold !sum
+
+let word_shifts lay hid =
+  Array.mapi (fun i off -> -(off + lay.hdr_fws.(hid).(i)) land 15) lay.hdr_offs.(hid)
+
+(* ------------------------------------------------------------------ *)
 (* Program compilation                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -773,20 +803,9 @@ let compile ?(exec_hooks = Exec.spec_hooks) ?(parse_hooks = Parse.spec_hooks)
           (* [ipv4_checksum_ok] calls [Env.is_valid], which raises *)
           Some (fun _ -> invalid_arg "Env: undeclared header ipv4")
       | Some hid ->
-          let slots = lay.hdr_slots.(hid) and fws = lay.hdr_fws.(hid) in
+          let slots = lay.hdr_slots.(hid) and shifts = word_shifts lay hid in
           Some
-            (fun st ->
-              if not st.valid.(hid) then true
-              else begin
-                let b = st.ck_scratch in
-                Builder.reset b;
-                for i = 0 to Array.length slots - 1 do
-                  Builder.add_int64 b ~width:fws.(i) st.fields.(slots.(i))
-                done;
-                Bitutil.Checksum.ones_complement_sum_bytes (Builder.buffer b)
-                  ~bits:(Builder.length b)
-                = 0xffff
-              end)
+            (fun st -> (not st.valid.(hid)) || header_sum st.fields slots shifts (-1) = 0xffff)
   in
   let update_wanted =
     match update_ipv4_checksum with Some u -> u | None -> prog.Ast.p_update_ipv4_checksum
@@ -797,24 +816,15 @@ let compile ?(exec_hooks = Exec.spec_hooks) ?(parse_hooks = Parse.spec_hooks)
       match header_id lay "ipv4" with
       | None -> None  (* [Deparse.run] checks [find_header] first *)
       | Some hid ->
-          let slots = lay.hdr_slots.(hid) and fws = lay.hdr_fws.(hid) in
+          let slots = lay.hdr_slots.(hid) and shifts = word_shifts lay hid in
           let ck_slot = match field_slot lay "ipv4" "checksum" with Some s -> s | None -> -1 in
           Some
             (fun st ->
               if st.valid.(hid) then begin
                 if ck_slot < 0 then invalid_arg "Env: undeclared field ipv4.checksum";
-                let b = st.ck_scratch in
-                Builder.reset b;
-                for i = 0 to Array.length slots - 1 do
-                  let v = if slots.(i) = ck_slot then 0L else st.fields.(slots.(i)) in
-                  Builder.add_int64 b ~width:fws.(i) v
-                done;
-                let ck =
-                  Bitutil.Checksum.checksum_bytes (Builder.buffer b) ~bits:(Builder.length b)
-                in
+                let ck = lnot (header_sum st.fields slots shifts ck_slot) land 0xffff in
                 (* [Value.of_int ~width:16] then [set_field]'s re-mask *)
-                st.fields.(ck_slot) <-
-                  Int64.logand (Int64.logand (Int64.of_int ck) 0xffffL) lay.slot_mask.(ck_slot)
+                st.fields.(ck_slot) <- Int64.logand (Int64.of_int ck) lay.slot_mask.(ck_slot)
               end)
   in
   let emits =
@@ -897,7 +907,6 @@ let instantiate ?(on_count = fun _ -> ()) ?(on_assert = fun _ _ -> ())
           { ts_slot = None; ts_cls = None; ts_bounds = [||] });
     i_runtime = rt;
     regs = resolve_regs cp regstore;
-    ck_scratch = Builder.create ~capacity_bits:256 ();
     out_buf = Builder.create ~capacity_bits:2048 ();
     always_miss = (match table_always_miss with Some f -> f | None -> cp.base_always_miss);
     on_count;

@@ -8,7 +8,11 @@
     storm never re-lowers a table) with a per-entry-id cache of compiled
     action closures, actions as closure chains over a positional argument
     vector, and the deparser as an emit loop into a reused
-    {!Bitutil.Bitstring.Builder}.
+    {!Bitutil.Bitstring.Builder}. Fields move between packet bits and
+    slots a 64-bit word at a time ({!Bitutil.Bitstring.extract},
+    {!Bitutil.Bitstring.blit_int64}), and the IPv4 checksum check and
+    refresh sum the header 16 bits at a time straight from its slots,
+    never rendering it.
 
     [instantiate] then binds the compiled form to a control plane
     ({!Runtime.t}), register storage and observation callbacks, yielding a
@@ -116,8 +120,8 @@ val egress_port : inst -> int
 
 val deparse : inst -> Bitutil.Bitstring.t
 (** Emit valid headers in deparser order plus the payload, updating the
-    IPv4 checksum first when configured — into a reused buffer, so the
-    only allocation is the final immutable snapshot. *)
+    IPv4 checksum slot first when configured — into a reused buffer, so
+    the only allocation is the final immutable snapshot. *)
 
 val corrupt_field : inst -> string -> string -> int64 -> unit
 (** [corrupt_field i h f mask] XORs [mask] into a field of a valid header

@@ -2,9 +2,9 @@
    is a pointer to a boxed block, so every [incr] on the hot path would
    allocate a fresh one. 63 bits outlast any run; the int64 API converts
    at the edges. *)
-type t = { name : string; mutable value : int }
+type t = { mutable value : int }
 
-let create name = { name; value = 0 }
+let create () = { value = 0 }
 
 let incr t = t.value <- t.value + 1
 
@@ -25,7 +25,7 @@ module Set = struct
     match Hashtbl.find_opt set n with
     | Some c -> c
     | None ->
-        let c = { name = n; value = 0 } in
+        let c = { value = 0 } in
         Hashtbl.add set n c;
         c
 

@@ -5,7 +5,9 @@
 
 type t
 
-val create : string -> t
+val create : unit -> t
+(** A counter at zero; a {!Set} gives counters their names. *)
+
 val incr : t -> unit
 val add : t -> int64 -> unit
 val get : t -> int64

@@ -69,6 +69,8 @@ type stage_state = {
   ss_latency_ns : float;
   ss_name_id : int;  (* interned span name, e.g. "stage[2]:ma:ipv4_lpm" *)
   ss_span_kind : Span.kind;
+  mutable ss_note_of : string;  (* the action name [ss_note] interns, by identity *)
+  mutable ss_note : int;  (* [Span.no_note] until the first sampled apply *)
   mutable ss_fault : Fault.t option;
   mutable ss_fault_hits : int;
 }
@@ -161,12 +163,23 @@ let apply_fault t ss =
    sampled, then apply the stage's fault. *)
 let pass_stage t ss ~flags ~note =
   Counter.incr ss.ss_seen;
-  if t.cur_sampled then begin
-    let t0 = t.cur_entry +. ss.ss_enter_ns in
-    span_child t ~kind:ss.ss_span_kind ~name:ss.ss_name_id ~t0 ~t1:(t0 +. ss.ss_latency_ns)
-      ~bytes:0 ~flags ~note
-  end;
+  if t.cur_sampled then
+    ignore
+      (Span.add_offset t.spanstore ~parent:t.cur_root ~packet:t.cur_id ~kind:ss.ss_span_kind
+         ~name:ss.ss_name_id ~origin:t.cur_entry ~offset:ss.ss_enter_ns
+         ~duration:ss.ss_latency_ns ~bytes:0 ~flags ~note);
   if t.faults_active then apply_fault t ss
+
+(* A sampled apply's note: the action's interned name, or "miss". The
+   core hands over the same string for the same action every time, so the
+   stage keeps the last one it interned and hashes only when it changes. *)
+let action_note t ss hit action =
+  let name = if hit then action else "miss" in
+  if ss.ss_note = Span.no_note || name != ss.ss_note_of then begin
+    ss.ss_note_of <- name;
+    ss.ss_note <- Span.intern t.spanstore name
+  end;
+  ss.ss_note
 
 (* The compiled core's callback on every table apply, before the action
    body runs. *)
@@ -181,9 +194,7 @@ let table_applied t id hit action =
       | Some c -> Counter.incr c
       | None -> ());
       pass_stage t ss ~flags:0
-        ~note:
-          (if t.cur_sampled then Span.intern t.spanstore (if hit then action else "miss")
-           else Span.no_note)
+        ~note:(if t.cur_sampled then action_note t ss hit action else Span.no_note)
 
 let stuck_miss t by_table tbl =
   t.faults_active
@@ -234,6 +245,8 @@ let create ?update_clock (pipeline : Pipeline.t) =
           ss_latency_ns = float_of_int s.Pipeline.s_latency_cycles *. cycle_ns;
           ss_name_id = Span.intern spanstore span_name;
           ss_span_kind = span_kind;
+          ss_note_of = "";
+          ss_note = Span.no_note;
           ss_fault = None;
           ss_fault_hits = 0;
         })

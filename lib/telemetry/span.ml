@@ -135,24 +135,33 @@ let next_id t =
 
 let issued t = t.next_id
 
-let record t ~id ~parent ~packet ~kind ~name ~t0 ~t1 ~bytes ~flags ~note =
+(* Inlined into its callers here so that [add_offset]'s times reach the
+   float arrays unboxed. [next] is always below [capacity], every array's
+   length, so the writes skip their bounds checks. *)
+let[@inline] record t ~id ~parent ~packet ~kind ~name ~t0 ~t1 ~bytes ~flags ~note =
   let i = t.next in
-  t.ids.(i) <- id;
-  t.parents.(i) <- parent;
-  t.packets.(i) <- packet;
-  t.kinds.(i) <- kind_tag kind;
-  t.names.(i) <- name;
-  t.starts.(i) <- t0;
-  t.ends_.(i) <- t1;
-  t.byts.(i) <- bytes;
-  t.flgs.(i) <- flags;
-  t.notes.(i) <- note;
+  Array.unsafe_set t.ids i id;
+  Array.unsafe_set t.parents i parent;
+  Array.unsafe_set t.packets i packet;
+  Array.unsafe_set t.kinds i (kind_tag kind);
+  Array.unsafe_set t.names i name;
+  Array.unsafe_set t.starts i t0;
+  Array.unsafe_set t.ends_ i t1;
+  Array.unsafe_set t.byts i bytes;
+  Array.unsafe_set t.flgs i flags;
+  Array.unsafe_set t.notes i note;
   t.next <- (if i + 1 = t.capacity then 0 else i + 1);
   t.total <- t.total + 1
 
 let add t ~parent ~packet ~kind ~name ~t0 ~t1 ~bytes ~flags ~note =
   let id = next_id t in
   record t ~id ~parent ~packet ~kind ~name ~t0 ~t1 ~bytes ~flags ~note;
+  id
+
+let add_offset t ~parent ~packet ~kind ~name ~origin ~offset ~duration ~bytes ~flags ~note =
+  let id = next_id t in
+  let t0 = origin +. offset in
+  record t ~id ~parent ~packet ~kind ~name ~t0 ~t1:(t0 +. duration) ~bytes ~flags ~note;
   id
 
 let count t = min t.total t.capacity

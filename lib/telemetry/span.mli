@@ -98,6 +98,26 @@ val add :
   int
 (** {!next_id} + {!record}; returns the new span's id. *)
 
+val add_offset :
+  t ->
+  parent:int ->
+  packet:int ->
+  kind:kind ->
+  name:int ->
+  origin:float ->
+  offset:float ->
+  duration:float ->
+  bytes:int ->
+  flags:int ->
+  note:int ->
+  int
+(** {!add} for a span that starts [offset] after [origin] and lasts
+    [duration]: [t0 = origin +. offset] and [t1 = t0 +. duration]. The
+    store does the arithmetic, so the two times reach its float arrays
+    unboxed; a caller that passes floats it already holds (a packet's
+    entry time, a stage's fixed offset and latency) allocates nothing,
+    where computing [t0] and [t1] itself would box both. *)
+
 val count : t -> int
 (** Spans currently retained. *)
 

@@ -160,6 +160,31 @@ let test_concat_list () =
   check_int "64 bits" 64 (Bitstring.length all);
   check_i64 "byte 3" 3L (Bitstring.extract all ~off:24 ~width:8)
 
+(* Every offset and width of random strings of 1–17 bytes, with and
+   without a partial final byte, against a bit-by-bit read: the 64-bit
+   load from the field's first byte, the load pulled back to the last 8
+   bytes where that one would run past the end, and the byte loop for
+   short strings and fields spanning 9 bytes. *)
+let test_extract_matches_get_bit () =
+  let prng = Prng.create 17 in
+  for nbytes = 1 to 17 do
+    for pad = 0 to 7 do
+      let b = Bitstring.random prng ((nbytes * 8) - pad) in
+      let len = Bitstring.length b in
+      for off = 0 to len do
+        for width = 0 to min 64 (len - off) do
+          let expect = ref 0L in
+          for i = off to off + width - 1 do
+            expect :=
+              Int64.logor (Int64.shift_left !expect 1) (if Bitstring.get_bit b i then 1L else 0L)
+          done;
+          if Bitstring.extract b ~off ~width <> !expect then
+            Alcotest.failf "extract ~off:%d ~width:%d of a %d-bit string" off width len
+        done
+      done
+    done
+  done
+
 (* property tests *)
 
 let gen_width = QCheck.Gen.int_range 1 64
@@ -278,14 +303,22 @@ let test_blit_int64_basic () =
   Bitstring.blit_int64 bytes ~off:24 ~width:8 0xFFL;
   Alcotest.(check string) "aligned blit" "\x0a\xbc\x00\xff" (Bytes.to_string bytes)
 
+(* Buffers of the field's bytes plus 0–16, so shorter and longer than the
+   8-byte word; every other draw ends the field in the buffer's last 8
+   bytes, where the word must be loaded from the end rather than from the
+   field's first byte. *)
 let prop_blit_int64_matches_set_int64 =
-  QCheck.Test.make ~count:300 ~name:"blit_int64 == set_int64 on byte buffers"
+  QCheck.Test.make ~count:500 ~name:"blit_int64 == set_int64 on byte buffers"
     QCheck.(triple small_nat (int_range 1 64) small_nat)
     (fun (seed, width, nextra) ->
       let prng = Prng.create seed in
-      let nbytes = ((width + 7) / 8) + 1 + (nextra mod 8) in
+      let nbytes = ((width + 7) / 8) + (nextra mod 17) in
       let s = String.init nbytes (fun _ -> Char.chr (Prng.int prng 256)) in
-      let off = Prng.int prng ((nbytes * 8) - width + 1) in
+      let last = (nbytes * 8) - width in
+      let off =
+        if Prng.bool prng then last - Prng.int prng (min last 63 + 1)
+        else Prng.int prng (last + 1)
+      in
       let v = Prng.next_int64 prng in
       let expect = Bitstring.set_int64 (Bitstring.of_string s) ~off ~width v in
       let bytes = Bytes.of_string s in
@@ -294,40 +327,48 @@ let prop_blit_int64_matches_set_int64 =
 
 (* A builder fed a random op sequence must agree with the immutable
    of_int64/sub/concat composition of the same pieces — including when the
-   builder is reset and reused, which is how the staged deparser drives it. *)
+   builder is reset and reused, which is how the staged deparser drives it.
+   Half the builders start at one byte and grow; the other half start at
+   exactly the first round's length, so that round's last writes land in
+   the buffer's last 8 bytes. *)
 let prop_builder_matches_reference =
-  QCheck.Test.make ~count:200 ~name:"Builder == set_int64/concat composition"
+  QCheck.Test.make ~count:300 ~name:"Builder == set_int64/concat composition"
     QCheck.(pair small_nat small_nat)
     (fun (seed, seed') ->
-      let bld = Bitstring.Builder.create ~capacity_bits:8 () in
-      let round seed =
+      (* a round: each op with the piece the reference composes *)
+      let ops seed =
         let prng = Prng.create seed in
+        List.init (1 + Prng.int prng 12) (fun _ ->
+            match Prng.int prng 3 with
+            | 0 ->
+                let w = 1 + Prng.int prng 64 in
+                let v = mask_to_width w (Prng.next_int64 prng) in
+                ( (fun bld -> Bitstring.Builder.add_int64 bld ~width:w v),
+                  Bitstring.of_int64 ~width:w v )
+            | 1 ->
+                let bs = Bitstring.random prng (Prng.int prng 100) in
+                ((fun bld -> Bitstring.Builder.add_bits bld bs), bs)
+            | _ ->
+                let len = Prng.int prng 80 in
+                let bs = Bitstring.random prng (len + Prng.int prng 40) in
+                let off = Prng.int prng (Bitstring.length bs - len + 1) in
+                ( (fun bld -> Bitstring.Builder.add_sub bld bs ~off ~len),
+                  Bitstring.sub bs ~off ~len ))
+      in
+      let first = ops seed and second = ops (seed + seed' + 1) in
+      let capacity_bits =
+        if seed land 1 = 0 then 8
+        else max 1 (List.fold_left (fun acc (_, p) -> acc + Bitstring.length p) 0 first)
+      in
+      let bld = Bitstring.Builder.create ~capacity_bits () in
+      let round ops =
         Bitstring.Builder.reset bld;
-        let pieces = ref [] in
-        let nops = 1 + Prng.int prng 12 in
-        for _ = 1 to nops do
-          match Prng.int prng 3 with
-          | 0 ->
-              let w = 1 + Prng.int prng 64 in
-              let v = mask_to_width w (Prng.next_int64 prng) in
-              Bitstring.Builder.add_int64 bld ~width:w v;
-              pieces := Bitstring.of_int64 ~width:w v :: !pieces
-          | 1 ->
-              let bs = Bitstring.random prng (Prng.int prng 100) in
-              Bitstring.Builder.add_bits bld bs;
-              pieces := bs :: !pieces
-          | _ ->
-              let len = Prng.int prng 80 in
-              let bs = Bitstring.random prng (len + Prng.int prng 40) in
-              let off = Prng.int prng (Bitstring.length bs - len + 1) in
-              Bitstring.Builder.add_sub bld bs ~off ~len;
-              pieces := Bitstring.sub bs ~off ~len :: !pieces
-        done;
-        let expect = Bitstring.concat (List.rev !pieces) in
+        List.iter (fun (add, _) -> add bld) ops;
+        let expect = Bitstring.concat (List.map snd ops) in
         Bitstring.Builder.length bld = Bitstring.length expect
         && Bitstring.equal (Bitstring.Builder.contents bld) expect
       in
-      round seed && round (seed + seed' + 1))
+      round first && round second)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_of_int64_extract; prop_append_length; prop_sub_concat_identity; prop_set_get;
@@ -363,6 +404,8 @@ let () =
           Alcotest.test_case "writer growth" `Quick test_writer_growth;
           Alcotest.test_case "concat list" `Quick test_concat_list;
           Alcotest.test_case "blit_int64" `Quick test_blit_int64_basic;
+          Alcotest.test_case "extract == get_bit, every offset and width" `Quick
+            test_extract_matches_get_bit;
         ] );
       ( "checksum",
         [

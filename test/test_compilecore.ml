@@ -347,6 +347,98 @@ let test_lpm_zero_and_long () =
   check_int "/16 still beats /0" 2 (port_of 0x0A010203L);
   check_int "/8 still beats /0" 1 (port_of 0x0A020304L)
 
+(* ---------------- ipv4 checksum over odd header widths ---------------- *)
+
+(* basic_router with [extra] fields spliced into ipv4 before its
+   checksum and [tail] after its last field. The staged engine sums the
+   header 16 bits at a time from its slots, the tree engine renders it
+   and sums bytes; a width that is not a multiple of 16 (or of 8) ends
+   in a zero-padded partial word. [extra] is a whole number of 16-bit
+   words, since a checksum field only verifies on a word boundary. *)
+let odd_ipv4_router ~name ~extra ~tail =
+  let b = Programs.basic_router in
+  let rec splice = function
+    | [] -> tail
+    | (f : Ast.field_decl) :: rest when f.Ast.f_name = "checksum" -> extra @ (f :: rest) @ tail
+    | f :: rest -> f :: splice rest
+  in
+  let ipv4 (hd : Ast.header_decl) =
+    if hd.Ast.h_name = "ipv4" then { hd with Ast.h_fields = splice hd.Ast.h_fields } else hd
+  in
+  {
+    b with
+    Programs.program =
+      {
+        b.Programs.program with
+        Ast.p_name = name;
+        p_headers = List.map ipv4 b.Programs.program.Ast.p_headers;
+      };
+  }
+
+(* Random ipv4 headers of [hd]'s layout — version 4, a routed or
+   unrouted destination, any ttl — each sent with its good checksum and
+   with a corrupted one, behind an ethernet header and before a payload
+   of any bit length. *)
+let odd_ipv4_packets prng (hd : Ast.header_decl) n =
+  let render ck fields =
+    let w = Bitstring.Writer.create () in
+    List.iter2
+      (fun (f : Ast.field_decl) v ->
+        Bitstring.Writer.push_int64 w ~width:f.Ast.f_width
+          (if f.Ast.f_name = "checksum" then ck else v))
+      hd.Ast.h_fields fields;
+    Bitstring.Writer.contents w
+  in
+  let eth = Eth.to_bits (Eth.make ~ethertype:0x0800L ()) in
+  List.concat
+    (List.init n (fun _ ->
+         let fields =
+           List.map
+             (fun (f : Ast.field_decl) ->
+               match f.Ast.f_name with
+               | "version" -> 4L
+               | "dst" -> Prng.choose prng [| 0x0A000005L; 0x0A010203L; 0xC0A80001L; 0x08080808L |]
+               | _ -> Prng.bits prng ~width:f.Ast.f_width)
+             hd.Ast.h_fields
+         in
+         let good = Bitutil.Checksum.checksum_bits (render 0L fields) in
+         let bad = good lxor (1 + Prng.int prng 0xfffe) in
+         let payload = Bitstring.random prng (Prng.int prng 200) in
+         List.map
+           (fun ck -> Bitstring.concat [ eth; render (Int64.of_int ck) fields; payload ])
+           [ good; bad ]))
+
+let test_odd_width_ipv4_checksum () =
+  let bit w n = { Ast.f_name = n; f_width = w } in
+  List.iter
+    (fun (name, extra, tail, width) ->
+      let b = odd_ipv4_router ~name ~extra ~tail in
+      let hd = Option.get (Ast.find_header b.Programs.program "ipv4") in
+      check_int (name ^ " ipv4 width") width (Ast.header_width hd);
+      let dut = deploy b in
+      let prng = Prng.create width in
+      let rejected = ref 0 and forwarded = ref 0 in
+      List.iteri
+        (fun i bits ->
+          let obs = check_both ~what:(Printf.sprintf "%s packet %d" name i) dut ~port:0 bits in
+          (* the verdict is the byte-wise checksum's over the rendered header *)
+          let hdr = Bitstring.sub bits ~off:112 ~len:width in
+          let valid = Bitutil.Checksum.valid (Bitstring.to_string hdr) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s packet %d passes the checksum check" name i)
+            valid
+            (obs.Interp.parser.Parse.error <> P4ir.Stdmeta.error_checksum);
+          if not valid then incr rejected;
+          match obs.Interp.result with Interp.Forwarded _ -> incr forwarded | _ -> ())
+        (odd_ipv4_packets prng hd 100);
+      (* both verdicts and the deparser's refresh are exercised *)
+      Alcotest.(check bool) (name ^ ": some rejected") true (!rejected > 0);
+      Alcotest.(check bool) (name ^ ": some refreshed and forwarded") true (!forwarded > 0))
+    [
+      ("ipv4_216", [ bit 40 "opt"; bit 8 "opt2" ], [ bit 8 "tail" ], 216);
+      ("ipv4_227", [ bit 64 "opt" ], [ bit 3 "tail" ], 227);
+    ]
+
 (* ---------------- fuzz-driven differential (jobs 1 and 4) ---------------- *)
 
 let file_bundles =
@@ -702,6 +794,8 @@ let () =
           Alcotest.test_case "exact hash winner" `Quick test_exact_hash_winner;
           Alcotest.test_case "lpm /0 and overlap" `Quick test_lpm_zero_and_long;
         ] );
+      ( "checksum",
+        [ Alcotest.test_case "odd-width ipv4 headers" `Quick test_odd_width_ipv4_checksum ] );
       ( "fuzz differential",
         [
           QCheck_alcotest.to_alcotest prop_fuzz_differential_seq;

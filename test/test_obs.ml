@@ -270,10 +270,14 @@ let test_soak_artifacts_roundtrip () =
     (contains r.Soak.so_prometheus "netdebug_soak_verdict_drift 0\n")
 
 let test_soak_bounded () =
-  (* the soak drains the device's wire emissions every window, and its
+  (* the soak drains the device's wire emissions as they happen, and its
      background traffic is only counted by the checker: rule evaluations
      come from the validation vectors alone, and none fails *)
   let h = Harness.deploy Programs.basic_router in
+  Alcotest.check_raises "a window without validation is refused"
+    (Invalid_argument "Soak.run: validations per window must be positive") (fun () ->
+      let cfg = { Soak.default_cfg with Soak.sk_budget = 2_000; sk_validations_per_window = 0 } in
+      ignore (Soak.run ~cfg h));
   let r = Soak.run ~cfg:{ Soak.default_cfg with Soak.sk_budget = 2_000 } h in
   check_bool "healthy" true r.Soak.so_healthy;
   check_int "no emission retained" 0 (List.length (Device.outputs h.Harness.device));
@@ -404,6 +408,12 @@ let test_http_roundtrip () =
   in
   let port = Obs.Http.port srv in
   check_bool "ephemeral port assigned" true (port > 0);
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises (Printf.sprintf "port %d refused" bad)
+        (Invalid_argument "Http.create: port must be in 0..65535") (fun () ->
+          ignore (Obs.Http.create ~port:bad [])))
+    [ -1; 65536; 70000 ];
   (* query strings are stripped before route matching *)
   let fd = http_get port "/metrics?window=1" in
   ignore (Obs.Http.poll srv);

@@ -16,7 +16,7 @@ let close ?(eps = 1e-6) msg expected got =
 (* ---------------- Counter ---------------- *)
 
 let test_counter_basic () =
-  let c = Counter.create "rx" in
+  let c = Counter.create () in
   Counter.incr c;
   Counter.incr c;
   Counter.add c 5L;
@@ -125,7 +125,7 @@ let test_hot_cells_allocate_nothing () =
   (* every emission bumps counters and adds a latency: once the value's
      bin is inside the stored span neither call may allocate (boxed
      int64 counters and mixed-record float fields cost 3 + 6 words) *)
-  let c = Counter.create "x" and h = Histogram.create () in
+  let c = Counter.create () and h = Histogram.create () in
   let v = 150.0 in
   Histogram.add h v;
   let w0 = Gc.minor_words () in
