@@ -746,14 +746,12 @@ let epar () =
    (200k prefixes, BGP-like length mix) deployed on the device, then
    sustained control-plane churn — one insert plus one remove per step,
    120k updates total — while the generator keeps live traffic flowing and
-   the checker validates it. Three invariants are asserted:
+   the checker validates it. Two invariants are asserted:
 
    - zero verdict drift: at every checkpoint, [Runtime.lookup] (the
      incremental classifier) is compared against [Entry.select] over an
      independently maintained mirror of the live entry set — the ground
      truth the classifier must stay bit-identical to;
-   - no structural rebuilds: [Runtime.classifier_rebuilds] must not move
-     during churn — updates patch the match structure in place;
    - live validation stays green: every packet the checker observes has
      been through set_nexthop (TTL decremented), and none of the rule
      evaluations fail while the table is being rewritten under traffic.
@@ -808,11 +806,11 @@ let echurn () =
     end
     else Int64.to_int (Prng.bits g ~width:32)
   in
-  (* build the classifier before taking the rebuild baseline *)
+  (* build the lookup classifier before the timed churn, which should time
+     updates, not a 200k-entry build at its first checkpoint *)
   ignore
     (Runtime.lookup rt ~table:Routes.table_name ~degrade_ternary_to_exact:false
        (Routes.key_of_addr (sample_addr ())));
-  let rebuilds0 = Runtime.classifier_rebuilds rt in
   let drift = ref 0 and checked = ref 0 in
   let seen = ref 0 and passed = ref 0 and failed = ref 0 in
   let checkpoint () =
@@ -864,7 +862,6 @@ let echurn () =
     if (t + 1) mod check_every = 0 then checkpoint ()
   done;
   let churn_s = Unix.gettimeofday () -. t1 in
-  let rebuild_delta = Runtime.classifier_rebuilds rt - rebuilds0 in
   let entries_gauge = ref nan and upd_h = ref None in
   List.iter
     (fun (name, _, v) ->
@@ -888,7 +885,6 @@ let echurn () =
     [ "ground-truth probes"; Printf.sprintf "%d (drift %d)" !checked !drift ];
   Texttable.add_row t
     [ "live traffic"; Printf.sprintf "%d seen, %d rule evals, %d failed" !seen !passed !failed ];
-  Texttable.add_row t [ "classifier rebuilds during churn"; string_of_int rebuild_delta ];
   Texttable.add_row t
     [ "entries gauge"; Printf.sprintf "%.0f (expect %d)" !entries_gauge !nlive ];
   (match !upd_h with
@@ -909,7 +905,6 @@ let echurn () =
   check (!drift = 0) "zero verdict drift: classifier == Entry.select over the live mirror";
   check (!seen > 0 && !failed = 0 && !passed > 0)
     "checker validated live traffic throughout the churn, no rule failures";
-  check (rebuild_delta = 0) "no structural rebuilds: every update patched the table in place";
   check
     (Runtime.entry_count rt Routes.table_name = !nlive
     && int_of_float !entries_gauge = !nlive)

@@ -57,31 +57,29 @@ module Heap = struct
       i := p
     done
 
+  (* The earliest event; the heap must not be empty. *)
   let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.arr.(0) in
-      h.len <- h.len - 1;
-      if h.len > 0 then begin
-        h.arr.(0) <- h.arr.(h.len);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let s = ref !i in
-          if l < h.len && before h.arr.(l) h.arr.(!s) then s := l;
-          if r < h.len && before h.arr.(r) h.arr.(!s) then s := r;
-          if !s = !i then continue := false
-          else begin
-            let tmp = h.arr.(!s) in
-            h.arr.(!s) <- h.arr.(!i);
-            h.arr.(!i) <- tmp;
-            i := !s
-          end
-        done
-      end;
-      Some top
-    end
+    let top = h.arr.(0) in
+    h.len <- h.len - 1;
+    if h.len > 0 then begin
+      h.arr.(0) <- h.arr.(h.len);
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let s = ref !i in
+        if l < h.len && before h.arr.(l) h.arr.(!s) then s := l;
+        if r < h.len && before h.arr.(r) h.arr.(!s) then s := r;
+        if !s = !i then continue := false
+        else begin
+          let tmp = h.arr.(!s) in
+          h.arr.(!s) <- h.arr.(!i);
+          h.arr.(!i) <- tmp;
+          i := !s
+        end
+      done
+    end;
+    top
 end
 
 type t = {
@@ -219,57 +217,52 @@ let terminate t p fate =
   | Lost _ -> Stats.Counter.incr t.c_lost
   | In_flight -> ()
 
-let run t =
-  let continue = ref true in
-  while !continue do
-    match Heap.pop t.heap with
-    | None -> continue := false
-    | Some ev ->
-        if ev.ev_at > t.now then t.now <- ev.ev_at;
-        let p = t.probes.(ev.ev_probe) in
-        p.p_trail <-
-          { hop_device = ev.ev_node; hop_in_port = ev.ev_port; hop_at_ns = ev.ev_at }
-          :: p.p_trail;
-        let dev = (t.devices.(ev.ev_node)).Harness.device in
-        let lost reason =
+let lost t p node reason =
+  terminate t p
+    (Lost { l_device = t.topo.Topology.nodes.(node).Topology.n_name; l_reason = reason })
+
+(* Where each output of the event's device goes: a host, the next link,
+   or nowhere. *)
+let rec forward t p ev = function
+  | [] -> ()
+  | (o : Device.output) :: rest ->
+      (match t.dest.(ev.ev_node).(o.Device.o_port) with
+      | D_host h ->
           terminate t p
-            (Lost
-               { l_device = t.topo.Topology.nodes.(ev.ev_node).Topology.n_name;
-                 l_reason = reason })
-        in
-        let _, disp =
-          Device.inject dev ~source:(Device.External ev.ev_port) ~at_ns:ev.ev_at
-            ev.ev_bits
-        in
-        (match disp with
-        | Device.Dropped_pipeline reason -> lost ("dropped by program: " ^ reason)
-        | Device.Dropped_queue -> lost "dropped at the input queue"
-        | Device.Lost_in_stage stage -> lost ("lost in stage " ^ stage)
-        | Device.Emitted _ -> (
-            (* drained after every inject, so these outputs belong to this
-               packet alone (the device emits at most one copy) *)
-            match Device.outputs dev with
-            | [] -> lost "emitted but never reached a wire"
-            | outs ->
-                List.iter
-                  (fun (o : Device.output) ->
-                    match t.dest.(ev.ev_node).(o.Device.o_port) with
-                    | D_host h ->
-                        terminate t p
-                          (Delivered
-                             {
-                               d_host = h.Topology.h_id;
-                               d_at_ns = o.Device.o_wire_time_ns +. h.Topology.h_delay_ns;
-                               d_bits = o.Device.o_bits;
-                             })
-                    | D_link { d_peer; d_peer_port; d_delay_ns } ->
-                        push t ~at:(o.Device.o_wire_time_ns +. d_delay_ns) ~node:d_peer
-                          ~port:d_peer_port ~probe:ev.ev_probe ~bits:o.Device.o_bits
-                    | D_none ->
-                        lost
-                          (Printf.sprintf "emitted on unconnected port %d"
-                             o.Device.o_port))
-                  outs))
+            (Delivered
+               {
+                 d_host = h.Topology.h_id;
+                 d_at_ns = o.Device.o_wire_time_ns +. h.Topology.h_delay_ns;
+                 d_bits = o.Device.o_bits;
+               })
+      | D_link { d_peer; d_peer_port; d_delay_ns } ->
+          push t ~at:(o.Device.o_wire_time_ns +. d_delay_ns) ~node:d_peer ~port:d_peer_port
+            ~probe:ev.ev_probe ~bits:o.Device.o_bits
+      | D_none ->
+          lost t p ev.ev_node (Printf.sprintf "emitted on unconnected port %d" o.Device.o_port));
+      forward t p ev rest
+
+let run t =
+  while t.heap.Heap.len > 0 do
+    let ev = Heap.pop t.heap in
+    if ev.ev_at > t.now then t.now <- ev.ev_at;
+    let p = t.probes.(ev.ev_probe) in
+    p.p_trail <-
+      { hop_device = ev.ev_node; hop_in_port = ev.ev_port; hop_at_ns = ev.ev_at } :: p.p_trail;
+    let dev = (t.devices.(ev.ev_node)).Harness.device in
+    let _, disp =
+      Device.inject dev ~source:(Device.External ev.ev_port) ~at_ns:ev.ev_at ev.ev_bits
+    in
+    match disp with
+    | Device.Dropped_pipeline reason -> lost t p ev.ev_node ("dropped by program: " ^ reason)
+    | Device.Dropped_queue -> lost t p ev.ev_node "dropped at the input queue"
+    | Device.Lost_in_stage stage -> lost t p ev.ev_node ("lost in stage " ^ stage)
+    | Device.Emitted _ -> (
+        (* drained after every inject, so these outputs belong to this
+           packet alone (the device emits at most one copy) *)
+        match Device.outputs dev with
+        | [] -> lost t p ev.ev_node "emitted but never reached a wire"
+        | outs -> forward t p ev outs)
   done
 
 let fate t id = (probe_exn t id).p_fate

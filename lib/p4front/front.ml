@@ -6,13 +6,17 @@ let pp_error ppf e =
 
 let parse_string ~name src =
   match Elab.elaborate (Syntax.parse ~name src) with
-  | program, entries ->
-      Ok
-        {
-          P4ir.Programs.program;
-          entries;
-          description = Printf.sprintf "parsed from P4 source (%s)" name;
-        }
+  | program, entries -> (
+      (* the entries must install as written: check them now, not at deploy *)
+      match P4ir.Runtime.install_all program (P4ir.Runtime.create ()) entries with
+      | Error message -> Error { message; line = 0; col = 0 }
+      | Ok () ->
+          Ok
+            {
+              P4ir.Programs.program;
+              entries;
+              description = Printf.sprintf "parsed from P4 source (%s)" name;
+            })
   | exception Lexer.Lex_error (message, line, col) -> Error { message; line; col }
   | exception Syntax.Parse_error (message, line, col) -> Error { message; line; col }
   | exception Elab.Elab_error message -> Error { message; line = 0; col = 0 }

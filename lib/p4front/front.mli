@@ -7,7 +7,10 @@ type error = { message : string; line : int; col : int }
 val parse_string :
   name:string -> string -> (P4ir.Programs.bundle, error) result
 (** [name] becomes the program name. The bundle's description notes the
-    textual origin. *)
+    textual origin. The entries are installed into a fresh
+    {!P4ir.Runtime.t} as a check, so an entry that {!P4ir.Runtime.add}
+    refuses (a prefix longer than its key, say) is an [Error] here rather
+    than at deploy. *)
 
 val parse_file : string -> (P4ir.Programs.bundle, error) result
 (** Program name is the basename without extension. *)

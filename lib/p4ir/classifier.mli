@@ -16,29 +16,26 @@
     answer — bit-identical to {!Entry.select}'s
     (priority, specificity, install-order) tie-break.
 
-    Updates are incremental: {!insert} and {!remove} patch the bucket
-    structure in place, so control-plane churn never rebuilds the table.
+    Updates are incremental: {!insert} and {!remove} patch one row of one
+    bucket in place, so control-plane churn never re-derives the table.
 
-    Entries the fast path cannot represent fall back to an exact replica
-    of the legacy scan over the live entries (including its raise
-    behaviour): entries containing an LPM whose prefix length exceeds the
-    key width (which {!Value.matches_prefix} answers by raising), and
-    tables whose key widths exceed 62 bits (beyond OCaml's native int).
-    The replica preserves full observational equivalence, it is just
-    linear again. *)
+    A key of 62 bits or less is one native-int word; a wider key is two
+    (bits 63..32, then 31..0), so every width from 1 to 64 takes the same
+    lookup path. Entries must have the shape {!Runtime.add} admits: one
+    key per declared width, key values and ternary masks of exactly that
+    width, LPM prefixes no longer than the key. *)
 
 type t
 
-val create : kws:int array -> degrade:bool -> resolve:(int -> Entry.t) -> t
-(** A classifier for keys of widths [kws] (in key order), under the
-    [degrade] ternary quirk. [resolve] maps an entry id back to its entry;
-    it is only consulted when the structure must fall back to the legacy
-    replica (ids passed to {!insert} stay resolvable until {!remove}). *)
+val create : kws:int array -> degrade:bool -> t
+(** A classifier for keys of widths [kws] (in key order, each 1..64),
+    under the [degrade] ternary quirk. *)
 
 val insert : t -> int -> Entry.t -> unit
 (** [insert t id e] adds entry [e] under id [id]. Ids must be unique among
     live entries; install-order ties are broken by ascending id, so callers
-    allocate ids monotonically in install order. O(1) amortized. *)
+    allocate ids monotonically in install order. O(1) amortized.
+    @raise Invalid_argument when [e] does not fit the key widths. *)
 
 val remove : t -> int -> Entry.t -> unit
 (** Remove the entry previously inserted under [id] ([e] must be that
@@ -49,27 +46,16 @@ val clear : t -> unit
 (** Drop all entries, keeping the allocated capacity. *)
 
 val size : t -> int
-(** Live entries stored (entries that can never match any key of the
-    declared widths are tracked separately and not counted). *)
+(** Live entries stored. *)
 
 val find_values : t -> Value.t list -> int
-(** The id of the winning entry for this key list, or -1 on miss.
-    Equivalent to [Entry.select] over the live entries in install order —
-    including its raise behaviour on pathological LPM entries. Key lists
-    whose widths differ from [kws] are answered correctly via the legacy
-    replica (the structure flips to fallback mode, a performance — never a
-    semantics — event). The fast path does not allocate. *)
+(** The id of the winning entry for this key list, or -1 on miss:
+    [Entry.select] over the live entries in install order. Allocates
+    nothing.
+    @raise Invalid_argument when the key widths differ from the
+    classifier's, which only an ill-typed program can produce. *)
 
 val find_raw : t -> int64 array -> int
 (** [find_values] over raw key words (each masked to its key width, as the
     staged engine's key scratch holds them); [arr] supplies the first
-    [Array.length (kws t)] words. The fast path does not allocate. *)
-
-val rebuilds : t -> int
-(** Structural re-derivations since {!create}: transitions between the
-    fast structure and the legacy-replica fallback. Never incremented by
-    {!insert}/{!remove} on the fast path — the churn scenario asserts this
-    stays flat under sustained updates. *)
-
-val is_fallback : t -> bool
-(** True when operating as the legacy-replica fallback (for tests). *)
+    [Array.length kws] words. Allocates nothing. *)

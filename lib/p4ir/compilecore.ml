@@ -4,7 +4,8 @@
    interned to an [int64 array] index with its bit offset and width
    precomputed, the parser FSM becomes a dispatch table over state indices,
    match-action tables look up the runtime's incremental [Classifier]
-   (equivalent to [Entry.select]), actions become closure chains over a
+   (equivalent to [Entry.select] over the entries [Runtime.add] admits, at
+   every key width up to 64 bits), actions become closure chains over a
    positional argument vector, the deparser emits into a reused
    [Bitstring.Builder], and the IPv4 checksum is summed from the slots.
 

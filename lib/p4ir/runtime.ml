@@ -61,57 +61,63 @@ let timed t name f =
       hook name (Int64.to_int (Int64.sub (t.hook_clock ()) t0));
       r
 
+let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
+
+(* Each key value must be of its key's match kind and of its key
+   expression's width; an LPM prefix must fit in the key and a ternary
+   mask must be as wide as it. *)
+let rec keys_ok program table i keys decls =
+  match (keys, decls) with
+  | [], _ | _, [] -> Ok ()
+  | k :: ks, (expr, kind) :: ds -> (
+      match Typecheck.expr_width program ~params:[] expr with
+      | Error m -> fail "table %s: key %d: %s" table i m
+      | Ok w -> (
+          match (k, kind) with
+          | ( Entry.Exact_v v, Ast.Exact
+            | Entry.Lpm_v (v, _), Ast.Lpm
+            | Entry.Ternary_v (v, _), Ast.Ternary )
+            when Value.width v <> w ->
+              fail "table %s: key %d: expected a %d-bit value, got %d bits" table i w (Value.width v)
+          | Entry.Lpm_v (_, len), Ast.Lpm when len < 0 || len > w ->
+              fail "table %s: key %d: lpm prefix length %d out of range 0..%d" table i len w
+          | Entry.Ternary_v (_, m), Ast.Ternary when Value.width m <> w ->
+              fail "table %s: key %d: expected a %d-bit mask, got %d bits" table i w (Value.width m)
+          | Entry.Exact_v _, Ast.Exact | Entry.Lpm_v _, Ast.Lpm | Entry.Ternary_v _, Ast.Ternary ->
+              keys_ok program table (i + 1) ks ds
+          | Entry.Exact_v _, (Ast.Lpm | Ast.Ternary)
+          | Entry.Lpm_v _, (Ast.Exact | Ast.Ternary)
+          | Entry.Ternary_v _, (Ast.Exact | Ast.Lpm) ->
+              fail "table %s: match-kind mismatch" table))
+
 let validate program ~table (e : Entry.t) existing_count =
   match Ast.find_table program table with
-  | None -> Error (Printf.sprintf "table %s: not declared" table)
-  | Some tbl ->
+  | None -> fail "table %s: not declared" table
+  | Some tbl -> (
       let open Ast in
-      if existing_count >= tbl.t_size then
-        Error (Printf.sprintf "table %s: capacity %d exceeded" table tbl.t_size)
+      if existing_count >= tbl.t_size then fail "table %s: capacity %d exceeded" table tbl.t_size
       else if List.length e.Entry.keys <> List.length tbl.t_keys then
-        Error (Printf.sprintf "table %s: expected %d keys, got %d" table
-                 (List.length tbl.t_keys) (List.length e.Entry.keys))
+        fail "table %s: expected %d keys, got %d" table (List.length tbl.t_keys)
+          (List.length e.Entry.keys)
       else if not (List.mem e.Entry.action tbl.t_actions) then
-        Error (Printf.sprintf "table %s: action %s not permitted" table e.Entry.action)
-      else begin
-        let kind_ok (k : Entry.mkey) (kind : match_kind) =
-          match (k, kind) with
-          | Entry.Exact_v _, Exact | Entry.Lpm_v _, Lpm | Entry.Ternary_v _, Ternary -> true
-          | Entry.Exact_v _, (Lpm | Ternary)
-          | Entry.Lpm_v _, (Exact | Ternary)
-          | Entry.Ternary_v _, (Exact | Lpm) ->
-              false
-        in
-        let kinds_ok = List.for_all2 (fun k (_, kind) -> kind_ok k kind) e.Entry.keys tbl.t_keys in
-        if not kinds_ok then Error (Printf.sprintf "table %s: match-kind mismatch" table)
-        else
-          match Ast.find_action program e.Entry.action with
-          | None -> Error (Printf.sprintf "action %s: not declared" e.Entry.action)
-          | Some act ->
-              if List.length e.Entry.args <> List.length act.a_params then
-                Error
-                  (Printf.sprintf "action %s: expected %d args, got %d" e.Entry.action
-                     (List.length act.a_params) (List.length e.Entry.args))
-              else begin
-                let args_ok =
-                  List.for_all2
-                    (fun arg (p : field_decl) -> Value.width arg = p.f_width)
-                    e.Entry.args act.a_params
-                in
-                let lpm_ok =
-                  List.for_all
-                    (fun k ->
-                      match k with
-                      | Entry.Lpm_v (v, len) -> len >= 0 && len <= Value.width v
-                      | Entry.Exact_v _ | Entry.Ternary_v _ -> true)
-                    e.Entry.keys
-                in
-                if not args_ok then
-                  Error (Printf.sprintf "action %s: argument width mismatch" e.Entry.action)
-                else if not lpm_ok then Error "lpm prefix length out of range"
-                else Ok ()
-              end
-      end
+        fail "table %s: action %s not permitted" table e.Entry.action
+      else
+        match keys_ok program table 1 e.Entry.keys tbl.t_keys with
+        | Error _ as err -> err
+        | Ok () -> (
+            match Ast.find_action program e.Entry.action with
+            | None -> fail "action %s: not declared" e.Entry.action
+            | Some act ->
+                if List.length e.Entry.args <> List.length act.a_params then
+                  fail "action %s: expected %d args, got %d" e.Entry.action
+                    (List.length act.a_params) (List.length e.Entry.args)
+                else if
+                  not
+                    (List.for_all2
+                       (fun arg (p : field_decl) -> Value.width arg = p.f_width)
+                       e.Entry.args act.a_params)
+                then fail "action %s: argument width mismatch" e.Entry.action
+                else Ok ()))
 
 let key_sig (e : Entry.t) = (e.Entry.priority, e.Entry.keys)
 
@@ -204,39 +210,12 @@ let clear_table t name =
    them survive a wipe. *)
 let clear t = Hashtbl.iter (fun _ s -> clear_slot s) t.tbl
 
-let copy t =
-  let t' = create () in
-  Hashtbl.iter
-    (fun name s ->
-      let s' = new_slot () in
-      List.iter
-        (fun e ->
-          let id = s'.s_next in
-          if id >= Array.length s'.s_arr then begin
-            let narr = Array.make (max 16 (2 * (id + 1))) None in
-            Array.blit s'.s_arr 0 narr 0 (Array.length s'.s_arr);
-            s'.s_arr <- narr
-          end;
-          s'.s_arr.(id) <- Some e;
-          s'.s_next <- id + 1;
-          s'.s_count <- s'.s_count + 1;
-          let ks = key_sig e in
-          let ids = match Hashtbl.find_opt s'.s_index ks with Some l -> l | None -> [] in
-          Hashtbl.replace s'.s_index ks (ids @ [ id ]))
-        (slot_entries s);
-      Hashtbl.add t'.tbl name s')
-    t.tbl;
-  t'
-
 let tables t = Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [] |> List.sort String.compare
 
 (* ---------------- classifier hosting ---------------- *)
 
 let build_classifier s ~kws ~degrade =
-  let c =
-    Classifier.create ~kws ~degrade ~resolve:(fun id ->
-        match s.s_arr.(id) with Some e -> e | None -> invalid_arg "Runtime: stale entry id")
-  in
+  let c = Classifier.create ~kws ~degrade in
   for id = 0 to s.s_next - 1 do
     match s.s_arr.(id) with Some e -> Classifier.insert c id e | None -> ()
   done;
@@ -247,14 +226,6 @@ let slot_classifier s ~kws ~degrade =
   match if degrade then s.s_cls_degrade else s.s_cls with
   | Some c -> c
   | None -> build_classifier s ~kws ~degrade
-
-let classifier_rebuilds t =
-  Hashtbl.fold
-    (fun _ s acc ->
-      let r = match s.s_cls with Some c -> Classifier.rebuilds c | None -> 0 in
-      let rd = match s.s_cls_degrade with Some c -> Classifier.rebuilds c | None -> 0 in
-      acc + r + rd)
-    t.tbl 0
 
 let rec key_widths acc = function
   | [] -> List.rev acc

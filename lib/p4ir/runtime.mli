@@ -1,8 +1,9 @@
 (** Control-plane table state: the set of entries installed in each table.
 
     Installation is validated against the program (table exists, action
-    permitted, key arity and widths, argument arity and widths, capacity),
-    mirroring what a runtime API such as P4Runtime enforces. The same
+    permitted, key arity, kinds and widths, argument arity and widths,
+    capacity), mirroring what a runtime API such as P4Runtime enforces, so
+    a table holds only entries its {!Classifier} can represent. The same
     runtime state drives both the reference interpreter and the compiled
     device, modelling the shared control plane of Figure 1.
 
@@ -15,9 +16,13 @@ type t
 
 val create : unit -> t
 
-val copy : t -> t
-
 val add : Ast.program -> t -> table:string -> Entry.t -> (unit, string) result
+(** Install [e] at the end of [table]'s install order. [Error] (and
+    nothing installed) when the table is undeclared or full, the action
+    is not permitted or its arguments do not fit its parameters, or a key
+    does not fit: a value whose match kind or width differs from its key
+    expression's ({!Typecheck.expr_width}), an LPM prefix longer than the
+    key, a ternary mask of a different width. *)
 
 val add_exn : Ast.program -> t -> table:string -> Entry.t -> unit
 (** @raise Invalid_argument when {!add} would return [Error]. *)
@@ -45,7 +50,9 @@ val lookup :
     semantics, answered by the per-table {!Classifier} (built lazily from
     the first lookup's key widths and patched incrementally ever after).
     The tree engine's table applies go through here; the staged engine
-    holds the same classifiers through {!tslot_classifier}. *)
+    holds the same classifiers through {!tslot_classifier}.
+    @raise Invalid_argument when the key widths differ from those the
+    classifier was built for, which only an ill-typed program produces. *)
 
 val clear_table : t -> string -> unit
 
@@ -80,7 +87,3 @@ val tslot_entry : tslot -> int -> Entry.t
 val tslot_classifier : tslot -> kws:int array -> degrade:bool -> Classifier.t
 (** The slot's classifier for this quirk setting, built from [kws] on
     first use and patched incrementally by every later mutation. *)
-
-val classifier_rebuilds : t -> int
-(** Total structural re-derivations across all per-table classifiers (see
-    {!Classifier.rebuilds}); flat under pure insert/remove churn. *)

@@ -46,8 +46,3 @@ let to_bits t =
   Bitstring.Writer.contents w
 
 let equal a b = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "arp %s %s(%s) -> %s"
-    (if t.oper = 1L then "who-has" else "is-at")
-    (Addr.ipv4_to_string t.spa) (Addr.mac_to_string t.sha) (Addr.ipv4_to_string t.tpa)

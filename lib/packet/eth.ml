@@ -22,8 +22,3 @@ let to_bits t =
   Bitstring.Writer.contents w
 
 let equal a b = a.dst = b.dst && a.src = b.src && a.ethertype = b.ethertype
-
-let pp ppf t =
-  Format.fprintf ppf "eth %s -> %s type=%s" (Addr.mac_to_string t.src)
-    (Addr.mac_to_string t.dst)
-    (Proto.ethertype_name t.ethertype)

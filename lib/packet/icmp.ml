@@ -27,5 +27,3 @@ let to_bits t =
   Bitstring.Writer.contents w
 
 let equal a b = a = b
-
-let pp ppf t = Format.fprintf ppf "icmp type=%Ld code=%Ld" t.icmp_type t.code

@@ -80,9 +80,3 @@ let decode r =
     checksum; src; dst }
 
 let equal a b = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "ipv4 %s -> %s proto=%s ttl=%Ld len=%Ld" (Addr.ipv4_to_string t.src)
-    (Addr.ipv4_to_string t.dst)
-    (Proto.ipproto_name t.protocol)
-    t.ttl t.total_len

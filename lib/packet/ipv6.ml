@@ -62,10 +62,3 @@ let to_bits t =
   Bitstring.Writer.contents w
 
 let equal a b = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "ipv6 %s -> %s next=%s hop=%Ld"
-    (Addr.ipv6_to_string (t.src_hi, t.src_lo))
-    (Addr.ipv6_to_string (t.dst_hi, t.dst_lo))
-    (Proto.ipproto_name t.next_header)
-    t.hop_limit

@@ -23,5 +23,3 @@ let to_bits t =
   Bitstring.Writer.contents w
 
 let equal a b = a = b
-
-let pp ppf t = Format.fprintf ppf "mpls label=%Ld bos=%Ld ttl=%Ld" t.label t.bos t.ttl

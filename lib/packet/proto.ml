@@ -7,17 +7,3 @@ let ethertype_mpls = 0x8847L
 let ipproto_icmp = 1L
 let ipproto_tcp = 6L
 let ipproto_udp = 17L
-
-let ethertype_name = function
-  | 0x0800L -> "IPv4"
-  | 0x0806L -> "ARP"
-  | 0x86DDL -> "IPv6"
-  | 0x8100L -> "VLAN"
-  | 0x8847L -> "MPLS"
-  | v -> Printf.sprintf "0x%04Lx" v
-
-let ipproto_name = function
-  | 1L -> "ICMP"
-  | 6L -> "TCP"
-  | 17L -> "UDP"
-  | v -> Printf.sprintf "proto-%Ld" v

@@ -11,6 +11,3 @@ val ethertype_mpls : int64
 val ipproto_icmp : int64
 val ipproto_tcp : int64
 val ipproto_udp : int64
-
-val ethertype_name : int64 -> string
-val ipproto_name : int64 -> string

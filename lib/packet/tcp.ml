@@ -61,15 +61,3 @@ let to_bits t =
   Bitstring.Writer.contents w
 
 let equal a b = a = b
-
-let pp ppf t =
-  let flag_names =
-    [ (0x02L, "SYN"); (0x10L, "ACK"); (0x01L, "FIN"); (0x04L, "RST"); (0x08L, "PSH") ]
-  in
-  let fl =
-    List.filter_map
-      (fun (bit, n) -> if Int64.logand t.flags bit <> 0L then Some n else None)
-      flag_names
-  in
-  Format.fprintf ppf "tcp %Ld -> %Ld [%s] seq=%Ld" t.src_port t.dst_port
-    (String.concat "," fl) t.seq

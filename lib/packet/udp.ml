@@ -24,5 +24,3 @@ let to_bits t =
   Bitstring.Writer.contents w
 
 let equal a b = a = b
-
-let pp ppf t = Format.fprintf ppf "udp %Ld -> %Ld len=%Ld" t.src_port t.dst_port t.length

@@ -24,7 +24,3 @@ let to_bits t =
   Bitstring.Writer.contents w
 
 let equal a b = a.pcp = b.pcp && a.dei = b.dei && a.vid = b.vid && a.ethertype = b.ethertype
-
-let pp ppf t =
-  Format.fprintf ppf "vlan vid=%Ld pcp=%Ld next=%s" t.vid t.pcp
-    (Proto.ethertype_name t.ethertype)

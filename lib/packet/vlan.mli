@@ -8,4 +8,3 @@ val encode : Bitstring.Writer.t -> t -> unit
 val decode : Bitstring.Reader.t -> t
 val to_bits : t -> Bitstring.t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -70,8 +70,6 @@ let create ~jobs =
   t.domains <- List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker_loop t (i + 1)));
   t
 
-let jobs t = t.jobs
-
 let close t =
   Mutex.lock t.lock;
   let ds = t.domains in

@@ -28,9 +28,6 @@ val create : jobs:int -> t
 (** Spawn a pool of [max 1 jobs] workers ([jobs - 1] domains). Values
     above the host's core count work but cannot run concurrently. *)
 
-val jobs : t -> int
-(** Worker count (including the calling domain), always [>= 1]. *)
-
 val close : t -> unit
 (** Shut the worker domains down and join them. Idempotent. A pool must
     be closed or the spawned domains keep the process alive; prefer
@@ -41,8 +38,8 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
     exceptional or not. *)
 
 val run : t -> (int -> unit) -> unit
-(** [run t f] executes [f w] once per worker [w] in [0 .. jobs t - 1],
-    concurrently, and returns when all are finished. The calling domain
+(** [run t f] executes [f w] once for each of the pool's workers [w]
+    (numbered from 0), concurrently, and returns when all are finished. The calling domain
     executes [f 0]. If any invocation raises, one of the exceptions is
     re-raised (with its backtrace) after all workers finish. *)
 

@@ -44,10 +44,4 @@ module Set = struct
   let to_alist set =
     Hashtbl.fold (fun n c acc -> (n, Int64.of_int c.value) :: acc) set []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let pp ppf set =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.fprintf ppf "@\n")
-      (fun ppf (n, v) -> Format.fprintf ppf "%-32s %Ld" n v)
-      ppf (to_alist set)
 end

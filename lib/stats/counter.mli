@@ -31,6 +31,4 @@ module Set : sig
   val reset_all : t -> unit
   val to_alist : t -> (string * int64) list
   (** Sorted by name. *)
-
-  val pp : Format.formatter -> t -> unit
 end

@@ -180,9 +180,3 @@ let clear t =
   t.acc.sumsq <- 0.;
   t.acc.minv <- infinity;
   t.acc.maxv <- 0.
-
-let pp_summary ppf t =
-  if t.n = 0 then Format.fprintf ppf "n=0"
-  else
-    Format.fprintf ppf "n=%d mean=%.1f p50=%.1f p99=%.1f max=%.1f" t.n (mean t)
-      (percentile t 50.) (percentile t 99.) t.acc.maxv

@@ -55,6 +55,3 @@ val delta : since:t -> t -> t
     [percentile] on the result reports window quantiles. *)
 
 val clear : t -> unit
-
-val pp_summary : Format.formatter -> t -> unit
-(** "n=.. mean=.. p50=.. p99=.. max=..". *)

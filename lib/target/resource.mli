@@ -6,8 +6,6 @@ type t = { luts : int; ffs : int; brams : int; tcam_bits : int }
 val make : ?luts:int -> ?ffs:int -> ?brams:int -> ?tcam_bits:int -> unit -> t
 (** Omitted components default to zero. *)
 
-val zero : t
-
 val add : t -> t -> t
 
 val sum : t list -> t

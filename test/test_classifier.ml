@@ -1,7 +1,7 @@
 (* Differential property tests for the classifier: it must be
-   observationally identical to the legacy [Entry.select] scan — same
-   winner, same misses, same raise behaviour on pathological LPM entries —
-   over arbitrary entry sets and keys, under both settings of the
+   observationally identical to the [Entry.select] scan — same winner,
+   same misses — over arbitrary entry sets of the shape [Runtime.add]
+   admits and keys of the declared widths, under both settings of the
    degrade-ternary quirk; and incremental insert/remove must agree with a
    classifier rebuilt from scratch over the surviving entries. *)
 
@@ -21,60 +21,66 @@ type scenario = {
   degrade : bool;
 }
 
+let key_value = function Entry.Exact_v v | Entry.Lpm_v (v, _) | Entry.Ternary_v (v, _) -> v
+
 let gen_scenario =
   let open QCheck.Gen in
   let* nk = int_range 1 3 in
   let* kws =
-    (* Mostly native-int widths; the occasional 64 exercises the permanent
-       wide-key fallback. *)
+    (* Mostly one-word widths; the two-word widths 63 and 64 are each
+       2 draws in 13. *)
     array_repeat nk
-      (frequency [ (10, int_range 1 32); (3, int_range 33 62); (1, return 64) ])
+      (frequency [ (6, int_range 1 32); (3, int_range 33 62); (2, return 63); (2, return 64) ])
   in
-  let gen_value w = map (fun v -> Value.make ~width:w v) ui64 in
-  (* Value width usually matches the declared key width; mismatches create
-     entries the declared keys can never match (dead-tracked) and probes
-     that flip the structure to its legacy replica. *)
-  let gen_width kw = frequency [ (8, return kw); (1, int_range 1 64) ] in
-  let gen_mkey kw =
-    let* vw = gen_width kw in
-    let* v = gen_value vw in
+  (* Small values collide, so equal rows and install-order ties come up. *)
+  let gen_value w =
+    map (Value.make ~width:w) (frequency [ (3, ui64); (1, map Int64.of_int (int_bound 3)) ])
+  in
+  let gen_mkey w =
+    let* v = gen_value w in
     frequency
       [
         (3, return (Entry.exact v));
-        ( 3,
-          (* len can exceed the key width: a poison entry whose evaluation
-             raises in [Value.matches_prefix], which the classifier must
-             replicate. *)
-          let* len = frequency [ (6, int_range 0 vw); (1, int_range 0 70) ] in
-          return (Entry.lpm v len) );
-        ( 3,
-          let* m = gen_value vw in
-          return (Entry.ternary v m) );
+        (3, map (Entry.lpm v) (int_range 0 w));
+        (3, map (Entry.ternary v) (gen_value w));
       ]
   in
   let gen_entry =
-    let* arity =
-      frequency [ (12, return nk); (1, int_range 0 (nk + 1)) ]
-    in
-    let* keys =
-      flatten_l
-        (List.init arity (fun i -> gen_mkey (if i < nk then kws.(i) else 8)))
-    in
+    let* keys = flatten_l (Array.to_list (Array.map gen_mkey kws)) in
     let* prio = int_bound 3 in
     return (Entry.make ~priority:prio ~keys ~action:"a" ())
-  in
-  let gen_probe =
-    let* arity = frequency [ (20, return nk); (1, int_range 0 (nk + 1)) ] in
-    flatten_l
-      (List.init arity (fun i ->
-           let kw = if i < nk then kws.(i) else 8 in
-           let* vw = frequency [ (12, return kw); (1, int_range 1 64) ] in
-           gen_value vw))
   in
   let* n_entries = int_bound 30 in
   let* entries = array_repeat n_entries gen_entry in
   let* n_extra = int_bound 15 in
   let* extra = array_repeat n_extra gen_entry in
+  (* A probe is random, or an entry's key values with the odd bit flipped,
+     so that wide keys hit, and miss by one bit in either word. *)
+  let near mk =
+    let v = key_value mk in
+    let w = Value.width v in
+    frequency
+      [
+        (1, return v);
+        ( 1,
+          map
+            (fun b -> Value.make ~width:w (Int64.logxor (Value.to_int64 v) (Int64.shift_left 1L b)))
+            (int_bound (w - 1)) );
+      ]
+  in
+  let all = Array.append entries extra in
+  let random_probe = flatten_l (Array.to_list (Array.map gen_value kws)) in
+  let gen_probe =
+    if Array.length all = 0 then random_probe
+    else
+      frequency
+        [
+          (1, random_probe);
+          ( 2,
+            int_bound (Array.length all - 1) >>= fun i ->
+            flatten_l (List.map near all.(i).Entry.keys) );
+        ]
+  in
   let* probes = list_size (int_range 1 25) gen_probe in
   let* ops = list_size (int_bound 40) (int_bound 10_000) in
   let* degrade = bool in
@@ -104,40 +110,23 @@ let print_scenario sc =
 
 let arb_scenario = QCheck.make ~print:print_scenario gen_scenario
 
-(* Capture normal results and the raise behaviour of pathological LPM
-   entries uniformly, so equivalence includes "raises exactly when the
-   scan raises". *)
-type 'a outcome = V of 'a | Raised
-
-let outcome f = match f () with v -> V v | exception Invalid_argument _ -> Raised
-
-let select_outcome ~degrade entries probe =
-  outcome (fun () -> Entry.select ~degrade_ternary_to_exact:degrade entries probe)
-
 (* The winner must be the same physical entry: [Entry.select] returns the
    element of the list, the classifier an id indexing the same array. *)
 let agree resolve want got =
-  match (want, got) with
-  | V None, V id -> id = -1
-  | V (Some e), V id -> id >= 0 && resolve id == e
-  | Raised, Raised -> true
-  | V _, Raised | Raised, V _ -> false
+  match want with None -> got = -1 | Some e -> got >= 0 && resolve got == e
 
 let prop_differential =
   QCheck.Test.make ~count:400 ~name:"classifier = Entry.select (outcome parity)"
     arb_scenario (fun sc ->
-      let c =
-        Classifier.create ~kws:sc.kws ~degrade:sc.degrade ~resolve:(fun id ->
-            sc.entries.(id))
-      in
+      let c = Classifier.create ~kws:sc.kws ~degrade:sc.degrade in
       Array.iteri (fun id e -> Classifier.insert c id e) sc.entries;
       let entries = Array.to_list sc.entries in
       List.for_all
         (fun probe ->
           agree
             (fun id -> sc.entries.(id))
-            (select_outcome ~degrade:sc.degrade entries probe)
-            (outcome (fun () -> Classifier.find_values c probe)))
+            (Entry.select ~degrade_ternary_to_exact:sc.degrade entries probe)
+            (Classifier.find_values c probe))
         sc.probes)
 
 (* Incremental maintenance: after an arbitrary interleaving of inserts and
@@ -149,7 +138,7 @@ let prop_incremental =
     arb_scenario (fun sc ->
       let store = Hashtbl.create 64 in
       let resolve id = Hashtbl.find store id in
-      let c = Classifier.create ~kws:sc.kws ~degrade:sc.degrade ~resolve in
+      let c = Classifier.create ~kws:sc.kws ~degrade:sc.degrade in
       let live = ref [] in  (* (id, entry), descending id *)
       let next = ref 0 in
       let insert e =
@@ -177,16 +166,15 @@ let prop_incremental =
         sc.ops;
       (* Survivors in install order = ascending id. *)
       let surv = List.rev !live in
-      let c2 = Classifier.create ~kws:sc.kws ~degrade:sc.degrade ~resolve in
+      let c2 = Classifier.create ~kws:sc.kws ~degrade:sc.degrade in
       List.iter (fun (id, e) -> Classifier.insert c2 id e) surv;
       let entries = List.map snd surv in
       Classifier.size c = Classifier.size c2
       && List.for_all
            (fun probe ->
-             let want = select_outcome ~degrade:sc.degrade entries probe in
-             let got = outcome (fun () -> Classifier.find_values c probe) in
-             let got2 = outcome (fun () -> Classifier.find_values c2 probe) in
-             agree resolve want got && got = got2)
+             let got = Classifier.find_values c probe in
+             agree resolve (Entry.select ~degrade_ternary_to_exact:sc.degrade entries probe) got
+             && got = Classifier.find_values c2 probe)
            sc.probes)
 
 (* ---------------- deterministic unit tests ---------------- *)
@@ -194,8 +182,7 @@ let prop_incremental =
 let v32 x = Value.make ~width:32 (Int64.of_int x)
 
 let test_wide_keys () =
-  (* Widths beyond native int: permanent legacy-replica fallback, still
-     answer-correct. *)
+  (* 64-bit keys take two words per key, on the same lookup path. *)
   let entries =
     [|
       Entry.make
@@ -206,44 +193,41 @@ let test_wide_keys () =
         ~action:"a" ();
     |]
   in
-  let c =
-    Classifier.create ~kws:[| 64 |] ~degrade:false ~resolve:(fun id ->
-        entries.(id))
-  in
+  let c = Classifier.create ~kws:[| 64 |] ~degrade:false in
   Array.iteri (fun id e -> Classifier.insert c id e) entries;
-  Alcotest.(check bool) "wide keys fall back" true (Classifier.is_fallback c);
   let probe = [ Value.make ~width:64 0xdead_beef_0000_0001L ] in
   Alcotest.(check int) "exact beats shorter prefix" 1
     (Classifier.find_values c probe);
   Alcotest.(check int) "prefix-only hit" 0
     (Classifier.find_values c [ Value.make ~width:64 0xdead_0000_1234_5678L ])
 
-let test_width_mismatch_flip () =
-  (* A probe whose width differs from the declared kws flips the structure
-     to the replica — a rebuild event, never a wrong answer. *)
-  let entries = [| Entry.make ~keys:[ Entry.lpm (v32 0x0a000000) 8 ] ~action:"a" () |] in
-  let c =
-    Classifier.create ~kws:[| 32 |] ~degrade:false ~resolve:(fun id ->
-        entries.(id))
-  in
-  Classifier.insert c 0 entries.(0);
-  Alcotest.(check bool) "fast path initially" false (Classifier.is_fallback c);
-  Alcotest.(check int) "fast-path hit" 0 (Classifier.find_values c [ v32 0x0a01_0203 ]);
-  let narrow = [ Value.make ~width:16 10L ] in
-  Alcotest.(check int) "mismatched probe misses like the scan"
-    (match Entry.select (Array.to_list entries) narrow with
-    | Some _ -> 0
-    | None -> -1)
-    (Classifier.find_values c narrow);
-  Alcotest.(check bool) "flipped to fallback" true (Classifier.is_fallback c);
-  Alcotest.(check bool) "flip counted as rebuild" true (Classifier.rebuilds c >= 1);
-  Alcotest.(check int) "still answer-correct after flip" 0
-    (Classifier.find_values c [ v32 0x0a01_0203 ])
+let test_unknown_id_remove () =
+  (* Removing an id that was never inserted leaves the entry that shares
+     its row in place. *)
+  let e = Entry.make ~keys:[ Entry.exact (v32 5) ] ~action:"a" () in
+  let c = Classifier.create ~kws:[| 32 |] ~degrade:false in
+  Classifier.insert c 0 e;
+  Classifier.remove c 7 e;
+  Alcotest.(check int) "size" 1 (Classifier.size c);
+  Alcotest.(check int) "still found" 0 (Classifier.find_values c [ v32 5 ])
+
+let test_mismatched_probe () =
+  (* Probe widths other than the key's come only from an ill-typed
+     program: refused loudly, never answered. *)
+  let c = Classifier.create ~kws:[| 32 |] ~degrade:false in
+  Classifier.insert c 0 (Entry.make ~keys:[ Entry.lpm (v32 0x0a000000) 8 ] ~action:"a" ());
+  Alcotest.(check int) "hit" 0 (Classifier.find_values c [ v32 0x0a01_0203 ]);
+  List.iter
+    (fun probe ->
+      match Classifier.find_values c probe with
+      | exception Invalid_argument _ -> ()
+      | id -> Alcotest.failf "answered %d" id)
+    [ [ Value.make ~width:16 10L ]; []; [ v32 1; v32 2 ] ]
 
 let test_runtime_churn () =
   (* Runtime-level integration over the synthetic route table: lookups
      against the live classifier must track a plain mirror list under
-     interleaved adds and removes, with zero structural rebuilds. *)
+     interleaved adds and removes. *)
   let rt = Runtime.create () in
   let n0 = 2_000 and extra = 500 in
   let pool = Routes.prefixes ~seed:21 ~n:(n0 + extra) in
@@ -297,8 +281,6 @@ let test_runtime_churn () =
   probe_round ();
   Alcotest.(check int) "entry count tracks mirror" (List.length !mirror)
     (Runtime.entry_count rt Routes.table_name);
-  Alcotest.(check int) "no structural rebuilds under churn" 0
-    (Runtime.classifier_rebuilds rt);
   (* Removing an uninstalled entry reports an error, not a crash. *)
   (match
      Runtime.remove Routes.program rt ~table:Routes.table_name
@@ -317,7 +299,8 @@ let () =
       ( "units",
         [
           Alcotest.test_case "wide keys" `Quick test_wide_keys;
-          Alcotest.test_case "width-mismatch flip" `Quick test_width_mismatch_flip;
+          Alcotest.test_case "mismatched probe raises" `Quick test_mismatched_probe;
+          Alcotest.test_case "unknown id remove is a no-op" `Quick test_unknown_id_remove;
           Alcotest.test_case "runtime churn" `Quick test_runtime_churn;
         ] );
     ]

@@ -224,6 +224,24 @@ table t { key = { eth.dst : exact; } actions = { fwd; } default_action = fwd(); 
 control ingress { apply(t); }
 |})
 
+(* An entry the runtime would refuse is an error when the file loads,
+   not an exception at deploy. *)
+let test_entries_install_checked () =
+  match
+    Front.parse_string ~name:"t"
+      (mini_prelude
+      ^ {|
+action fwd() { }
+table t { key = { eth.ethertype : lpm; } actions = { fwd; } default_action = fwd(); }
+control ingress { apply(t); }
+entries { t { 0x800/24 -> fwd(); } }
+|})
+  with
+  | Ok _ -> Alcotest.fail "accepted a prefix longer than its key"
+  | Error e ->
+      Alcotest.(check string) "runtime's message" "table t: key 1: lpm prefix length 24 out of range 0..16"
+        e.Front.message
+
 let test_entries_forms () =
   let b =
     parse_ok
@@ -457,6 +475,7 @@ let () =
           Alcotest.test_case "slice and concat" `Quick test_slice_and_concat;
           Alcotest.test_case "table arity" `Quick test_table_arity_checked;
           Alcotest.test_case "entries forms" `Quick test_entries_forms;
+          Alcotest.test_case "entries checked at load" `Quick test_entries_install_checked;
           Alcotest.test_case "error positions" `Quick test_parse_error_positions;
           Alcotest.test_case "typecheck in elab" `Quick test_typecheck_runs_in_elab;
           Alcotest.test_case "print/parse round-trip (whole library)" `Quick

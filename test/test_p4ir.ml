@@ -208,6 +208,27 @@ let test_runtime_rejects_arg_mismatch () =
        (Entry.make ~keys:[ Entry.lpm (v 32 0) 8 ] ~action:"set_nexthop"
           ~args:[ v 8 1; Value.make ~width:48 1L ] ()))
 
+(* Each key must fit its key expression: an exact value of another
+   width, a prefix longer than the key or a ternary mask of another width
+   is refused at install, and nothing is installed. *)
+let test_runtime_rejects_key_width () =
+  let refuses what (b : Programs.bundle) table e =
+    let rt = Runtime.create () in
+    (match Runtime.install_all b.Programs.program rt b.Programs.entries with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    let before = Runtime.entry_count rt table in
+    expect_error what (Runtime.add b.Programs.program rt ~table e);
+    check_int (what ^ ": nothing installed") before (Runtime.entry_count rt table)
+  in
+  refuses "exact key of the wrong width" Programs.l2_switch "smac"
+    (Entry.make ~keys:[ Entry.exact (v 32 1) ] ~action:"src_known" ());
+  refuses "prefix longer than the key" Programs.basic_router "ipv4_lpm"
+    (Entry.make ~keys:[ Entry.lpm (v 32 0x0a00_0000) 40 ] ~action:"drop_packet" ());
+  let any w = Entry.ternary (v w 0) (v w 0) in
+  refuses "ternary mask of the wrong width" Programs.acl_firewall "acl"
+    (Entry.make ~keys:[ Entry.ternary (v 32 0) (v 16 0); any 32; any 8; any 16 ] ~action:"permit" ())
+
 let test_runtime_capacity () =
   let tiny =
     {
@@ -372,6 +393,7 @@ let () =
           Alcotest.test_case "rejects bad action" `Quick test_runtime_rejects_bad_action;
           Alcotest.test_case "rejects kind mismatch" `Quick test_runtime_rejects_kind_mismatch;
           Alcotest.test_case "rejects arg mismatch" `Quick test_runtime_rejects_arg_mismatch;
+          Alcotest.test_case "rejects keys that do not fit" `Quick test_runtime_rejects_key_width;
           Alcotest.test_case "capacity enforced" `Quick test_runtime_capacity;
           Alcotest.test_case "clear" `Quick test_runtime_clear;
         ] );
