@@ -178,7 +178,6 @@ type t = {
   c_kws : int array;
   nk : int;
   nw : int;  (* key words: one per key, two per key wider than 62 bits *)
-  wide : bool;  (* nw > nk *)
   degrade : bool;
   scratch : int array;  (* nw lookup key words *)
   mutable buckets : bucket array;
@@ -195,7 +194,6 @@ let create ~kws ~degrade =
     c_kws = Array.copy kws;
     nk;
     nw;
-    wide = nw > nk;
     degrade;
     scratch = Array.make (max 1 nw) 0;
     buckets = [||];
@@ -221,9 +219,9 @@ let put words w j x =
     j + 2
   end
 
-(* The shape [Runtime.add] admits: one key per declared width, every key
-   value of its key's width, prefixes no longer than the key, ternary
-   masks of the key's width. *)
+(* The shape [Runtime.add] admits, checked there against the same widths:
+   one key per declared width, every key value of its key's width,
+   prefixes no longer than the key, ternary masks of the key's width. *)
 let rec fits kws nk i = function
   | [] -> i = nk
   | mk :: rest ->
@@ -241,8 +239,7 @@ let ones n = if n >= 64 then -1L else Int64.pred (Int64.shift_left 1L n)
    (and ternary keys under the degrade quirk) compare every bit, an LPM
    key its top [len] bits, a ternary key its mask's bits. *)
 let classify t (e : Entry.t) =
-  if not (fits t.c_kws t.nk 0 e.Entry.keys) then
-    invalid_arg "Classifier: entry does not fit the key widths";
+  assert (fits t.c_kws t.nk 0 e.Entry.keys);
   let masks = Array.make (max 1 t.nw) 0 and vals = Array.make (max 1 t.nw) 0 in
   let rec go i j = function
     | [] -> ()
@@ -357,39 +354,25 @@ let rec widths_ok kws nk i = function
   | [] -> i = nk
   | v :: rest -> i < nk && Value.width v = Array.unsafe_get kws i && widths_ok kws nk (i + 1) rest
 
-(* Keys of 62 bits or less: one word each. *)
-let rec load_values scratch i = function
+let rec load_values kws scratch i j = function
   | [] -> ()
   | v :: rest ->
-      Array.unsafe_set scratch i (Int64.to_int (Value.to_int64 v));
-      load_values scratch (i + 1) rest
-
-let rec load_values_wide kws scratch i j = function
-  | [] -> ()
-  | v :: rest ->
-      load_values_wide kws scratch (i + 1)
+      load_values kws scratch (i + 1)
         (put scratch (Array.unsafe_get kws i) j (Value.to_int64 v))
         rest
 
 let find_values t vs =
   if not (widths_ok t.c_kws t.nk 0 vs) then
     invalid_arg "Classifier.find_values: probe widths differ from the key widths";
-  if t.wide then load_values_wide t.c_kws t.scratch 0 0 vs else load_values t.scratch 0 vs;
+  load_values t.c_kws t.scratch 0 0 vs;
   find_from t t.scratch t.nw 0
 
-let rec load_raw scratch arr i nk =
-  if i < nk then begin
-    Array.unsafe_set scratch i (Int64.to_int (Array.unsafe_get arr i));
-    load_raw scratch arr (i + 1) nk
-  end
-
-let rec load_raw_wide kws scratch arr i j nk =
+let rec load_raw kws scratch arr i j nk =
   if i < nk then
-    load_raw_wide kws scratch arr (i + 1)
+    load_raw kws scratch arr (i + 1)
       (put scratch (Array.unsafe_get kws i) j (Array.unsafe_get arr i))
       nk
 
 let find_raw t arr =
-  if t.wide then load_raw_wide t.c_kws t.scratch arr 0 0 t.nk
-  else load_raw t.scratch arr 0 t.nk;
+  load_raw t.c_kws t.scratch arr 0 0 t.nk;
   find_from t t.scratch t.nw 0

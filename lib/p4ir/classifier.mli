@@ -21,9 +21,10 @@
 
     A key of 62 bits or less is one native-int word; a wider key is two
     (bits 63..32, then 31..0), so every width from 1 to 64 takes the same
-    lookup path. Entries must have the shape {!Runtime.add} admits: one
-    key per declared width, key values and ternary masks of exactly that
-    width, LPM prefixes no longer than the key. *)
+    lookup path. Entries must have the shape {!Runtime.add} admits, which
+    checks them against the same widths: one key per declared width, key
+    values and ternary masks of exactly that width, LPM prefixes no longer
+    than the key. *)
 
 type t
 
@@ -34,8 +35,8 @@ val create : kws:int array -> degrade:bool -> t
 val insert : t -> int -> Entry.t -> unit
 (** [insert t id e] adds entry [e] under id [id]. Ids must be unique among
     live entries; install-order ties are broken by ascending id, so callers
-    allocate ids monotonically in install order. O(1) amortized.
-    @raise Invalid_argument when [e] does not fit the key widths. *)
+    allocate ids monotonically in install order. O(1) amortized. [e] must
+    have the shape {!Runtime.add} admits (asserted). *)
 
 val remove : t -> int -> Entry.t -> unit
 (** Remove the entry previously inserted under [id] ([e] must be that

@@ -542,7 +542,6 @@ and compile_stmt cc prog action_ids cactions degrade tbl_ids params (s : Ast.stm
           let keys =
             Array.of_list (List.map (fun (e, _) -> compile_expr cc params e) tbl.Ast.t_keys)
           in
-          let kws = Array.map (fun c -> c.cw) keys in
           let nk = Array.length keys in
           let default_b =
             make_bound action_ids cactions tbl.Ast.t_default_action tbl.Ast.t_default_args
@@ -588,7 +587,7 @@ and compile_stmt cc prog action_ids cactions degrade tbl_ids params (s : Ast.stm
               match ts.ts_cls with
               | Some c -> c
               | None ->
-                  let c = Runtime.tslot_classifier slot ~kws ~degrade in
+                  let c = Runtime.tslot_classifier slot prog ~degrade in
                   ts.ts_cls <- Some c;
                   c
             in

@@ -5,13 +5,18 @@
    cache) can never alias a stale entry. A structural (priority, keys)
    index gives O(1) removal of the earliest-installed matching entry, and
    each slot lazily hosts the two {!Classifier} variants (per
-   degrade_ternary_to_exact setting) that both engines share. *)
+   degrade_ternary_to_exact setting) that both engines share. A slot works
+   its table's key widths out once per program and uses them both to check
+   entries and to shape its classifiers, so the two always agree. *)
 
 type slot = {
+  s_name : string;
   mutable s_arr : Entry.t option array;  (* by local id; None = removed *)
   mutable s_next : int;  (* next id to allocate; never reset *)
   mutable s_count : int;  (* live entries *)
   s_index : (int * Entry.mkey list, int list) Hashtbl.t;  (* live ids, ascending *)
+  mutable s_prog : Ast.program option;  (* the program [s_kws] was worked out for *)
+  mutable s_kws : int array;  (* key widths, in key order *)
   mutable s_cls : Classifier.t option;
   mutable s_cls_degrade : Classifier.t option;
 }
@@ -27,12 +32,15 @@ type tslot = slot
 let create () =
   { tbl = Hashtbl.create 8; hook = None; hook_clock = (fun () -> 0L) }
 
-let new_slot () =
+let new_slot name =
   {
+    s_name = name;
     s_arr = [||];
     s_next = 0;
     s_count = 0;
     s_index = Hashtbl.create 16;
+    s_prog = None;
+    s_kws = [||];
     s_cls = None;
     s_cls_degrade = None;
   }
@@ -41,7 +49,7 @@ let slot t name =
   match Hashtbl.find_opt t.tbl name with
   | Some s -> s
   | None ->
-      let s = new_slot () in
+      let s = new_slot name in
       Hashtbl.add t.tbl name s;
       s
 
@@ -63,61 +71,80 @@ let timed t name f =
 
 let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
 
-(* Each key value must be of its key's match kind and of its key
-   expression's width; an LPM prefix must fit in the key and a ternary
-   mask must be as wide as it. *)
-let rec keys_ok program table i keys decls =
+(* The slot's key widths for [program]: each key expression's
+   {!Typecheck.expr_width}, worked out again only when another program
+   asks. *)
+let key_widths program s (tbl : Ast.table) =
+  match s.s_prog with
+  | Some p when p == program -> Ok ()
+  | _ ->
+      let rec go acc i = function
+        | [] ->
+            s.s_prog <- Some program;
+            s.s_kws <- Array.of_list (List.rev acc);
+            Ok ()
+        | (expr, _) :: rest -> (
+            match Typecheck.expr_width program ~params:[] expr with
+            | Error m -> fail "table %s: key %d: %s" tbl.Ast.t_name i m
+            | Ok w -> go (w :: acc) (i + 1) rest)
+      in
+      go [] 1 tbl.Ast.t_keys
+
+(* Each key value must be of its key's match kind and width; an LPM
+   prefix must fit in the key and a ternary mask must be as wide as it. *)
+let rec keys_ok table kws i keys decls =
   match (keys, decls) with
   | [], _ | _, [] -> Ok ()
-  | k :: ks, (expr, kind) :: ds -> (
-      match Typecheck.expr_width program ~params:[] expr with
-      | Error m -> fail "table %s: key %d: %s" table i m
-      | Ok w -> (
-          match (k, kind) with
-          | ( Entry.Exact_v v, Ast.Exact
-            | Entry.Lpm_v (v, _), Ast.Lpm
-            | Entry.Ternary_v (v, _), Ast.Ternary )
-            when Value.width v <> w ->
-              fail "table %s: key %d: expected a %d-bit value, got %d bits" table i w (Value.width v)
-          | Entry.Lpm_v (_, len), Ast.Lpm when len < 0 || len > w ->
-              fail "table %s: key %d: lpm prefix length %d out of range 0..%d" table i len w
-          | Entry.Ternary_v (_, m), Ast.Ternary when Value.width m <> w ->
-              fail "table %s: key %d: expected a %d-bit mask, got %d bits" table i w (Value.width m)
-          | Entry.Exact_v _, Ast.Exact | Entry.Lpm_v _, Ast.Lpm | Entry.Ternary_v _, Ast.Ternary ->
-              keys_ok program table (i + 1) ks ds
-          | Entry.Exact_v _, (Ast.Lpm | Ast.Ternary)
-          | Entry.Lpm_v _, (Ast.Exact | Ast.Ternary)
-          | Entry.Ternary_v _, (Ast.Exact | Ast.Lpm) ->
-              fail "table %s: match-kind mismatch" table))
+  | k :: ks, (_, kind) :: ds -> (
+      let w = kws.(i - 1) in
+      match (k, kind) with
+      | ( Entry.Exact_v v, Ast.Exact
+        | Entry.Lpm_v (v, _), Ast.Lpm
+        | Entry.Ternary_v (v, _), Ast.Ternary )
+        when Value.width v <> w ->
+          fail "table %s: key %d: expected a %d-bit value, got %d bits" table i w (Value.width v)
+      | Entry.Lpm_v (_, len), Ast.Lpm when len < 0 || len > w ->
+          fail "table %s: key %d: lpm prefix length %d out of range 0..%d" table i len w
+      | Entry.Ternary_v (_, m), Ast.Ternary when Value.width m <> w ->
+          fail "table %s: key %d: expected a %d-bit mask, got %d bits" table i w (Value.width m)
+      | Entry.Exact_v _, Ast.Exact | Entry.Lpm_v _, Ast.Lpm | Entry.Ternary_v _, Ast.Ternary ->
+          keys_ok table kws (i + 1) ks ds
+      | Entry.Exact_v _, (Ast.Lpm | Ast.Ternary)
+      | Entry.Lpm_v _, (Ast.Exact | Ast.Ternary)
+      | Entry.Ternary_v _, (Ast.Exact | Ast.Lpm) ->
+          fail "table %s: match-kind mismatch" table)
 
-let validate program ~table (e : Entry.t) existing_count =
+let validate program s ~table (e : Entry.t) =
   match Ast.find_table program table with
   | None -> fail "table %s: not declared" table
   | Some tbl -> (
       let open Ast in
-      if existing_count >= tbl.t_size then fail "table %s: capacity %d exceeded" table tbl.t_size
+      if s.s_count >= tbl.t_size then fail "table %s: capacity %d exceeded" table tbl.t_size
       else if List.length e.Entry.keys <> List.length tbl.t_keys then
         fail "table %s: expected %d keys, got %d" table (List.length tbl.t_keys)
           (List.length e.Entry.keys)
       else if not (List.mem e.Entry.action tbl.t_actions) then
         fail "table %s: action %s not permitted" table e.Entry.action
       else
-        match keys_ok program table 1 e.Entry.keys tbl.t_keys with
+        match key_widths program s tbl with
         | Error _ as err -> err
         | Ok () -> (
-            match Ast.find_action program e.Entry.action with
-            | None -> fail "action %s: not declared" e.Entry.action
-            | Some act ->
-                if List.length e.Entry.args <> List.length act.a_params then
-                  fail "action %s: expected %d args, got %d" e.Entry.action
-                    (List.length act.a_params) (List.length e.Entry.args)
-                else if
-                  not
-                    (List.for_all2
-                       (fun arg (p : field_decl) -> Value.width arg = p.f_width)
-                       e.Entry.args act.a_params)
-                then fail "action %s: argument width mismatch" e.Entry.action
-                else Ok ()))
+            match keys_ok table s.s_kws 1 e.Entry.keys tbl.t_keys with
+            | Error _ as err -> err
+            | Ok () -> (
+                match Ast.find_action program e.Entry.action with
+                | None -> fail "action %s: not declared" e.Entry.action
+                | Some act ->
+                    if List.length e.Entry.args <> List.length act.a_params then
+                      fail "action %s: expected %d args, got %d" e.Entry.action
+                        (List.length act.a_params) (List.length e.Entry.args)
+                    else if
+                      not
+                        (List.for_all2
+                           (fun arg (p : field_decl) -> Value.width arg = p.f_width)
+                           e.Entry.args act.a_params)
+                    then fail "action %s: argument width mismatch" e.Entry.action
+                    else Ok ())))
 
 let key_sig (e : Entry.t) = (e.Entry.priority, e.Entry.keys)
 
@@ -127,7 +154,7 @@ let cls_iter s f =
 
 let add program t ~table e =
   let s = slot t table in
-  match validate program ~table e s.s_count with
+  match validate program s ~table e with
   | Error _ as err -> err
   | Ok () ->
       timed t table (fun () ->
@@ -214,22 +241,13 @@ let tables t = Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [] |> List.sort Stri
 
 (* ---------------- classifier hosting ---------------- *)
 
-let build_classifier s ~kws ~degrade =
-  let c = Classifier.create ~kws ~degrade in
+let build_classifier s ~degrade =
+  let c = Classifier.create ~kws:s.s_kws ~degrade in
   for id = 0 to s.s_next - 1 do
     match s.s_arr.(id) with Some e -> Classifier.insert c id e | None -> ()
   done;
   (if degrade then s.s_cls_degrade <- Some c else s.s_cls <- Some c);
   c
-
-let slot_classifier s ~kws ~degrade =
-  match if degrade then s.s_cls_degrade else s.s_cls with
-  | Some c -> c
-  | None -> build_classifier s ~kws ~degrade
-
-let rec key_widths acc = function
-  | [] -> List.rev acc
-  | v :: rest -> key_widths (Value.width v :: acc) rest
 
 (* Hot path (the tree engine routes table applies through here): [Hashtbl.find]
    rather than [find_opt] — the latter allocates an option per call, and
@@ -243,8 +261,7 @@ let lookup t ~table ~degrade_ternary_to_exact:degrade keys =
         let c =
           match if degrade then s.s_cls_degrade else s.s_cls with
           | Some c -> c
-          | None ->
-              build_classifier s ~kws:(Array.of_list (key_widths [] keys)) ~degrade
+          | None -> build_classifier s ~degrade
         in
         let id = Classifier.find_values c keys in
         if id < 0 then None else s.s_arr.(id)
@@ -259,4 +276,13 @@ let tslot_entry (s : tslot) id =
   | Some e -> e
   | None -> invalid_arg "Runtime.tslot_entry: stale entry id"
 
-let tslot_classifier (s : tslot) ~kws ~degrade = slot_classifier s ~kws ~degrade
+let tslot_classifier (s : tslot) program ~degrade =
+  match if degrade then s.s_cls_degrade else s.s_cls with
+  | Some c -> c
+  | None -> (
+      match Ast.find_table program s.s_name with
+      | None -> invalid_arg ("Runtime.tslot_classifier: undeclared table " ^ s.s_name)
+      | Some tbl -> (
+          match key_widths program s tbl with
+          | Error m -> invalid_arg ("Runtime.tslot_classifier: " ^ m)
+          | Ok () -> build_classifier s ~degrade))

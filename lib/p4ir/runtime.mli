@@ -3,9 +3,12 @@
     Installation is validated against the program (table exists, action
     permitted, key arity, kinds and widths, argument arity and widths,
     capacity), mirroring what a runtime API such as P4Runtime enforces, so
-    a table holds only entries its {!Classifier} can represent. The same
-    runtime state drives both the reference interpreter and the compiled
-    device, modelling the shared control plane of Figure 1.
+    a table holds only entries its {!Classifier} can represent. Each table
+    works its key widths out once per program ({!Typecheck.expr_width} of
+    each key expression) and uses them both to check entries and to build
+    its classifiers. The same runtime state drives both the reference
+    interpreter and the compiled device, modelling the shared control
+    plane of Figure 1.
 
     Entries get monotone per-table ids in install order (never reused, not
     even across {!clear}), which is what lets the per-table {!Classifier}
@@ -48,11 +51,11 @@ val lookup :
 (** The winning entry for this key list under the
     (priority, specificity, install-order) tie-break — {!Entry.select}
     semantics, answered by the per-table {!Classifier} (built lazily from
-    the first lookup's key widths and patched incrementally ever after).
+    the table's key widths and patched incrementally ever after).
     The tree engine's table applies go through here; the staged engine
     holds the same classifiers through {!tslot_classifier}.
-    @raise Invalid_argument when the key widths differ from those the
-    classifier was built for, which only an ill-typed program produces. *)
+    @raise Invalid_argument when the key widths differ from the table's,
+    which only an ill-typed program produces. *)
 
 val clear_table : t -> string -> unit
 
@@ -84,6 +87,9 @@ val tslot_entry : tslot -> int -> Entry.t
 (** The live entry with this local id.
     @raise Invalid_argument when the id is dead or out of range. *)
 
-val tslot_classifier : tslot -> kws:int array -> degrade:bool -> Classifier.t
-(** The slot's classifier for this quirk setting, built from [kws] on
-    first use and patched incrementally by every later mutation. *)
+val tslot_classifier : tslot -> Ast.program -> degrade:bool -> Classifier.t
+(** The slot's classifier for this quirk setting, built on first use from
+    the table's key widths in [program] and patched incrementally by every
+    later mutation.
+    @raise Invalid_argument when [program] does not declare the table or
+    a key expression does not type. *)

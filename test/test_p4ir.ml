@@ -3,6 +3,7 @@
 module Value = P4ir.Value
 module Entry = P4ir.Entry
 module Runtime = P4ir.Runtime
+module Classifier = P4ir.Classifier
 module Ast = P4ir.Ast
 module Typecheck = P4ir.Typecheck
 module Programs = P4ir.Programs
@@ -229,6 +230,26 @@ let test_runtime_rejects_key_width () =
   refuses "ternary mask of the wrong width" Programs.acl_firewall "acl"
     (Entry.make ~keys:[ Entry.ternary (v 32 0) (v 16 0); any 32; any 8; any 16 ] ~action:"permit" ())
 
+let test_runtime_classifier_widths () =
+  (* The staged engine pins a table's classifier on first apply, possibly
+     before any entry: it takes the program's key widths (one 64-bit key,
+     two words), and later installs patch it in place. *)
+  let b = Programs.ipv6_router in
+  let rt = Runtime.create () in
+  let c =
+    Runtime.tslot_classifier (Runtime.tslot rt "ipv6_lpm") b.Programs.program ~degrade:false
+  in
+  (match Runtime.install_all b.Programs.program rt b.Programs.entries with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let probe x = Classifier.find_values c [ Value.make ~width:64 x ] in
+  check_int "/48 beats /32" 1 (probe 0x20010DB8_0001_0042L);
+  check_int "/32" 0 (probe 0x20010DB8_0002_0000L);
+  check_int "miss" (-1) (probe 0x3000_0000_0000_0000L);
+  match Runtime.tslot_classifier (Runtime.tslot rt "nosuch") b.Programs.program ~degrade:false with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "classifier for an undeclared table"
+
 let test_runtime_capacity () =
   let tiny =
     {
@@ -394,6 +415,8 @@ let () =
           Alcotest.test_case "rejects kind mismatch" `Quick test_runtime_rejects_kind_mismatch;
           Alcotest.test_case "rejects arg mismatch" `Quick test_runtime_rejects_arg_mismatch;
           Alcotest.test_case "rejects keys that do not fit" `Quick test_runtime_rejects_key_width;
+          Alcotest.test_case "classifier takes the program's widths" `Quick
+            test_runtime_classifier_widths;
           Alcotest.test_case "capacity enforced" `Quick test_runtime_capacity;
           Alcotest.test_case "clear" `Quick test_runtime_clear;
         ] );
