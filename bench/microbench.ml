@@ -120,15 +120,12 @@ let b19 = "netdebug/B19 net route: predict one fat-tree:6 pair's path (Gc-counte
 let b20 = "netdebug/B20 testgen: path-covering vectors for acl_firewall (Gc-counted)"
 let b13a jobs = Printf.sprintf "netdebug/B13a fuzz campaign amortized per exec, jobs=%d" jobs
 
-(* A basic_router device with its routes installed, and the untimed step
-   that empties its emission list before each round. *)
+(* A basic_router device with its routes installed. *)
 let make_device () =
   let report = Compile.compile_exn ~quirks:Quirks.none basic_router in
   let d = Device.create report.Compile.pipeline in
   install_routes (Device.runtime d);
   d
-
-let drain d () = ignore (Device.outputs d)
 
 (* One routed-probe forward through [d]. *)
 let forward d () = ignore (Device.inject d ~source:(Device.External 0) routed_probe)
@@ -136,7 +133,7 @@ let forward d () = ignore (Device.inject d ~source:(Device.External 0) routed_pr
 let device_row ?(spans = 64) name f =
   let d = make_device () in
   Device.set_span_sampling d spans;
-  row ~setup:(drain d) name 100 (f d)
+  row name 100 (f d)
 
 (* The rows the ratio gates read: the bare staged forward (B14w) and the
    hooks priced against it — full span sampling (B11), the fuzzer's
@@ -227,8 +224,7 @@ let other_rows () =
   let ctx =
     P4ir.Exec.make_ctx ~env:(P4ir.Env.create basic_router) ~runtime:(Runtime.create ()) ()
   in
-  let hooks = { P4ir.Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 } in
-  ignore (P4ir.Parse.run ~hooks ctx routed_probe);
+  ignore (P4ir.Parse.run ~hooks:P4ir.Parse.lenient_hooks ctx routed_probe);
   let rule = P4ir.Dsl.(fld "ipv4" "ttl" ==: const ~width:8 64) in
   let scan =
     let prefixes = Routes.prefixes ~seed:7 ~n:1024 in
@@ -285,8 +281,7 @@ let other_rows () =
         ignore (Net.Route.route routes ~src_edge ~dst_edge) )
   in
   [
-    row ~setup:(drain h.Netdebug.Harness.device)
-      "netdebug/B3 generator: render+inject one mutated packet" 12 (fun () ->
+    row "netdebug/B3 generator: render+inject one mutated packet" 12 (fun () ->
         ok (Netdebug.Controller.configure_generator ctl [ stream ]);
         ok (Netdebug.Controller.start_generator ctl));
     row "netdebug/B4 checker: evaluate one rule" 1000 (fun () -> ignore (P4ir.Exec.eval ctx rule));
@@ -297,7 +292,7 @@ let other_rows () =
         ignore (Compile.compile_exn basic_router));
     row "netdebug/B8 checksum: 1500B internet checksum" 64 (fun () ->
         ignore (Bitutil.Checksum.checksum payload));
-    row ~setup:(drain kv) "netdebug/B9 kv_cache device: one GET" 100 (fun () ->
+    row "netdebug/B9 kv_cache device: one GET" 100 (fun () ->
         ignore (Device.inject kv ~source:(Device.External 0) kv_get));
     row "netdebug/B10 wire: encode+decode a checker config" 64 (fun () ->
         match Netdebug.Wire.decode_host (Netdebug.Wire.encode_host checker_config) with

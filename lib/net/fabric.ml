@@ -221,26 +221,22 @@ let lost t p node reason =
   terminate t p
     (Lost { l_device = t.topo.Topology.nodes.(node).Topology.n_name; l_reason = reason })
 
-(* Where each output of the event's device goes: a host, the next link,
-   or nowhere. *)
-let rec forward t p ev = function
-  | [] -> ()
-  | (o : Device.output) :: rest ->
-      (match t.dest.(ev.ev_node).(o.Device.o_port) with
-      | D_host h ->
-          terminate t p
-            (Delivered
-               {
-                 d_host = h.Topology.h_id;
-                 d_at_ns = o.Device.o_wire_time_ns +. h.Topology.h_delay_ns;
-                 d_bits = o.Device.o_bits;
-               })
-      | D_link { d_peer; d_peer_port; d_delay_ns } ->
-          push t ~at:(o.Device.o_wire_time_ns +. d_delay_ns) ~node:d_peer ~port:d_peer_port
-            ~probe:ev.ev_probe ~bits:o.Device.o_bits
-      | D_none ->
-          lost t p ev.ev_node (Printf.sprintf "emitted on unconnected port %d" o.Device.o_port));
-      forward t p ev rest
+(* Where the event's device emission goes: a host, the next link, or
+   nowhere. *)
+let forward t p ev (o : Device.output) =
+  match t.dest.(ev.ev_node).(o.Device.o_port) with
+  | D_host h ->
+      terminate t p
+        (Delivered
+           {
+             d_host = h.Topology.h_id;
+             d_at_ns = o.Device.o_wire_time_ns +. h.Topology.h_delay_ns;
+             d_bits = o.Device.o_bits;
+           })
+  | D_link { d_peer; d_peer_port; d_delay_ns } ->
+      push t ~at:(o.Device.o_wire_time_ns +. d_delay_ns) ~node:d_peer ~port:d_peer_port
+        ~probe:ev.ev_probe ~bits:o.Device.o_bits
+  | D_none -> lost t p ev.ev_node (Printf.sprintf "emitted on unconnected port %d" o.Device.o_port)
 
 let run t =
   while t.heap.Heap.len > 0 do
@@ -257,12 +253,9 @@ let run t =
     | Device.Dropped_pipeline reason -> lost t p ev.ev_node ("dropped by program: " ^ reason)
     | Device.Dropped_queue -> lost t p ev.ev_node "dropped at the input queue"
     | Device.Lost_in_stage stage -> lost t p ev.ev_node ("lost in stage " ^ stage)
-    | Device.Emitted _ -> (
-        (* drained after every inject, so these outputs belong to this
-           packet alone (the device emits at most one copy) *)
-        match Device.outputs dev with
-        | [] -> lost t p ev.ev_node "emitted but never reached a wire"
-        | outs -> forward t p ev outs)
+    | Device.Emitted o ->
+        if o.Device.o_on_wire then forward t p ev o
+        else lost t p ev.ev_node "emitted but never reached a wire"
   done
 
 let fate t id = (probe_exn t id).p_fate

@@ -5,15 +5,15 @@
     event is a packet arriving at a device ingress port; processing it
     runs the packet through that device ({!Target.Device.inject}, which
     computes queueing, pipeline and TX serialization times analytically)
-    and drains the device's wire output. A packet that leaves on a
-    switch-to-switch port is re-scheduled at the peer's ingress at
-    [wire_time + link propagation delay]; one that leaves on a
-    host-facing port becomes a {e delivery}; anything else (program
-    drop, queue drop, injected fault, unconnected port) terminates the
-    packet with a named reason at a named device. Because the heap pops
-    events in global time order, every device sees its arrivals in
-    nondecreasing time and per-device clocks stay consistent with the
-    fabric clock.
+    and reads the emission its disposition carries. A packet that
+    reaches the wire on a switch-to-switch port is re-scheduled at the
+    peer's ingress at [wire_time + link propagation delay]; one that
+    leaves on a host-facing port becomes a {e delivery}; anything else
+    (program drop, queue drop, injected fault, an emission that reached
+    no wire, unconnected port) terminates the packet with a named reason
+    at a named device. Because the heap pops events in global time
+    order, every device sees its arrivals in nondecreasing time and
+    per-device clocks stay consistent with the fabric clock.
 
     Each probe accumulates a {e trail} — the (device, port, time)
     sequence it traversed — which is the network-scale analogue of a

@@ -31,10 +31,6 @@ type t = {
   c_fail : Stats.Counter.t;
 }
 
-(* the checker observes; it never drops what it parses *)
-let check_parse_hooks =
-  { Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 }
-
 let on_output t (out : Device.output) =
   t.total_seen <- t.total_seen + 1;
   Stats.Counter.incr t.c_seen;
@@ -61,7 +57,7 @@ let on_output t (out : Device.output) =
         t.scratch <- Some (env, ctx);
         (env, ctx)
   in
-  ignore (Parse.run ~hooks:check_parse_hooks ctx out.Device.o_bits);
+  ignore (Parse.run ~hooks:Parse.lenient_hooks ctx out.Device.o_bits);
   Env.set_std env Ast.Egress_spec (Value.of_int ~width:9 (out.Device.o_port land 0x1ff));
   let truthy e = Value.to_bool (Exec.eval ctx e) in
   List.iter

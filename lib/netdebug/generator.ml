@@ -7,22 +7,20 @@ type t = {
   program : Ast.program;
   device : Device.t;
   mutable streams : Wire.stream list;
-  plain : Compilecore.inst Lazy.t;  (* no checksum refresh: {!send_raw}, clean streams *)
-  refresh : Compilecore.inst Lazy.t;  (* checksum refresh: mutated streams *)
+  plain : Compilecore.inst Lazy.t;  (* no checksum refresh *)
+  refresh : Compilecore.inst Lazy.t;  (* checksum refresh *)
   c_sent : Stats.Counter.t;  (* cumulative, in the device registry *)
 }
 
-(* generator-side parsing never drops: it is test infrastructure *)
-let gen_parse_hooks = { P4ir.Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 }
-
-(* The render core: parse and deparse compiled once per generator and
-   checksum setting (lazily: a generator that never sends pays no
-   compile), into reused scratch, so a render allocates only the final
-   wire copy. *)
+(* The render core for mutated templates: parse and deparse compiled once
+   per generator and checksum setting (lazily: a generator that never
+   renders pays no compile), into reused scratch, so a render allocates
+   only the final wire copy. *)
 let staged program ~refresh =
   lazy
     (Compilecore.instantiate
-       (Compilecore.compile ~parse_hooks:gen_parse_hooks ~update_ipv4_checksum:refresh program)
+       (Compilecore.compile ~parse_hooks:P4ir.Parse.lenient_hooks ~update_ipv4_checksum:refresh
+          program)
        ~runtime:(P4ir.Runtime.create ()))
 
 let create ~program device =
@@ -50,43 +48,40 @@ let mutation_targets_checksum muts =
           String.equal h "ipv4" && String.equal f "checksum")
     muts
 
+(* An unmutated template is injected as given (deliberately corrupted
+   test packets included); only a mutated one is rendered, refreshing the
+   checksum its mutations dirtied unless one of them targets it. *)
 let render_packet t (stream : Wire.stream) prng index =
-  let muts = stream.Wire.s_mutations in
-  (* refresh the checksum only when mutations dirtied the header; an
-     unmutated template must hit the wire byte-identical (deliberately
-     corrupted test packets included) *)
-  let refresh =
-    t.program.Ast.p_update_ipv4_checksum && muts <> [] && not (mutation_targets_checksum muts)
-  in
-  let inst = Lazy.force (if refresh then t.refresh else t.plain) in
-  Compilecore.reset inst;
-  Compilecore.run_parser inst stream.Wire.s_template;
-  List.iter
-    (fun m ->
-      match (m : Wire.mutation) with
-      | Wire.Set_field (h, f, v) -> Compilecore.mutate_field inst h f (fun _ -> v)
-      | Wire.Sweep_field (h, f, start, step) ->
-          Compilecore.mutate_field inst h f (fun _ ->
-              Int64.add start (Int64.mul step (Int64.of_int index)))
-      | Wire.Random_field (h, f, _) ->
-          Compilecore.mutate_field inst h f (fun width -> Prng.bits prng ~width))
-    muts;
-  Compilecore.deparse inst
+  match stream.Wire.s_mutations with
+  | [] -> stream.Wire.s_template
+  | muts ->
+      let refresh =
+        t.program.Ast.p_update_ipv4_checksum && not (mutation_targets_checksum muts)
+      in
+      let inst = Lazy.force (if refresh then t.refresh else t.plain) in
+      Compilecore.reset inst;
+      Compilecore.run_parser inst stream.Wire.s_template;
+      List.iter
+        (fun m ->
+          match (m : Wire.mutation) with
+          | Wire.Set_field (h, f, v) -> Compilecore.mutate_field inst h f (fun _ -> v)
+          | Wire.Sweep_field (h, f, start, step) ->
+              Compilecore.mutate_field inst h f (fun _ ->
+                  Int64.add start (Int64.mul step (Int64.of_int index)))
+          | Wire.Random_field (h, f, _) ->
+              Compilecore.mutate_field inst h f (fun width -> Prng.bits prng ~width))
+        muts;
+      Compilecore.deparse inst
 
 let inject t ?at_ns bits =
   let _, disposition = Device.inject t.device ~source:Device.Generator ?at_ns bits in
   Stats.Counter.incr t.c_sent;
   disposition
 
-(* The single-packet shot behind every validation check: [bits] rendered
-   as a mutation-free stream template hits the wire, injected
-   back-to-back. Quiescing is the caller's, one per batch (see
-   [Target.Device.inject_batch] and [Fuzz.Oracle]). *)
-let send_raw t bits =
-  let inst = Lazy.force t.plain in
-  Compilecore.reset inst;
-  Compilecore.run_parser inst bits;
-  inject t (Compilecore.deparse inst)
+(* The single-packet shot behind every validation check: [bits] as
+   given, injected back-to-back. Quiescing is the caller's, one per
+   batch (see [Target.Device.inject_batch] and [Fuzz.Oracle]). *)
+let send_raw t bits = inject t bits
 
 let start t =
   let base = Device.now_ns t.device in

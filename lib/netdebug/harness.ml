@@ -96,7 +96,8 @@ let self_check t =
     (* 3. check point sits before the output interfaces: break every port;
        the checker must still see emissions *)
     let cfg = Device.config t.device in
-    ignore (Device.outputs t.device);
+    let wire () = (Device.status t.device).Device.st_packets_wire in
+    let wire_before = wire () in
     for p = 0 to cfg.Target.Config.ports - 1 do
       Device.set_port_broken t.device p true
     done;
@@ -107,10 +108,10 @@ let self_check t =
     for p = 0 to cfg.Target.Config.ports - 1 do
       Device.set_port_broken t.device p false
     done;
-    let externally_visible = List.length (Device.outputs t.device) in
+    let externally_visible = Int64.sub (wire ()) wire_before in
     (* the probe may legitimately be dropped by the program; only when it
        is emitted do we learn about the check point *)
-    if summary.Wire.cs_total_seen > 0 && externally_visible > 0 then
+    if summary.Wire.cs_total_seen > 0 && externally_visible > 0L then
       Error "packet escaped through a broken output interface"
     else begin
       if summary.Wire.cs_total_seen > 0 then

@@ -68,8 +68,8 @@ let locate ?(count = 16) (h : Harness.t) ~probe =
         | Some v -> v
         | None -> 0L
       in
-      (* drain stale external outputs so we only count our probes *)
-      ignore (Device.outputs h.Harness.device);
+      let wire () = (Device.status h.Harness.device).Device.st_packets_wire in
+      let wire_before = wire () in
       let before = read_counters () in
       (* span every probe in the burst: independent, per-stage-timed
          corroboration of the counter-delta evidence *)
@@ -94,11 +94,7 @@ let locate ?(count = 16) (h : Harness.t) ~probe =
       let after = read_counters () in
       let* summary = Controller.read_checker ctl in
       let emitted = summary.Wire.cs_total_seen in
-      let external_outputs =
-        List.filter
-          (fun o -> o.Device.o_source = Device.Generator)
-          (Device.outputs h.Harness.device)
-      in
+      let external_outputs = Int64.to_int (Int64.sub (wire ()) wire_before) in
       let deltas =
         List.map
           (fun s -> (s, Int64.sub (seen_of after s) (seen_of before s)))
@@ -109,7 +105,7 @@ let locate ?(count = 16) (h : Harness.t) ~probe =
           e_expected_stages = expected_stages;
           e_deltas = deltas;
           e_emitted = emitted;
-          e_external = List.length external_outputs;
+          e_external = external_outputs;
           e_span_trail =
             List.map
               (fun s -> (s, Option.value ~default:0 (Hashtbl.find_opt trail_tbl s)))
@@ -125,7 +121,7 @@ let locate ?(count = 16) (h : Harness.t) ~probe =
       let full_through = last_full None deltas in
       let all_full = List.for_all (fun (_, d) -> d >= countL) deltas in
       if all_full && emitted >= count then
-        if List.length external_outputs >= count then (Healthy, evidence)
+        if external_outputs >= count then (Healthy, evidence)
         else (Lost_after_check_point spec_port, evidence)
       else if all_full (* stages fine but check point starved: deparser ate them *)
       then (Lost_in "deparser", evidence)

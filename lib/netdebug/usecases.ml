@@ -23,8 +23,7 @@ let ( let* ) r f =
 let observe_fields program bits =
   let env = Env.create program in
   let ctx = Exec.make_ctx ~env ~runtime:(Runtime.create ()) () in
-  let hooks = { Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 } in
-  ignore (Parse.run ~hooks ctx bits);
+  ignore (Parse.run ~hooks:Parse.lenient_hooks ctx bits);
   Env.snapshot_fields env
 
 (* ------------------------------------------------------------------ *)

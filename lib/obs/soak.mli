@@ -64,10 +64,7 @@ val run :
     HTTP endpoint). [sink] streams JSONL lines as they
     are produced instead of buffering them into the report. [on_window]
     runs after each window's sample+health evaluation — the serve loop
-    polls its HTTP listener there. The device's wire emissions are
-    drained ({!Target.Device.outputs}) after every injected packet and
-    every validation burst, so none lives long enough to be promoted and
-    none is retained when [run] returns.
+    polls its HTTP listener there.
     @raise Invalid_argument when the budget, rate or validations per
     window is not positive. *)
 

@@ -13,12 +13,17 @@ let check_port t port =
   if port < 0 || port >= ports then
     invalid_arg (Printf.sprintf "Osnt: no such interface %d (device has %d)" port ports)
 
+(* The external view of one inject: the emission if it reached a wire,
+   silence otherwise, whatever the reason. *)
+let on_wire = function
+  | _, Device.Emitted o when o.Device.o_on_wire -> Some o
+  | _ -> None
+
 let send_and_observe t ~port bits =
   check_port t port;
-  (* discard anything already sitting in the capture buffers *)
-  ignore (Device.outputs t.device);
-  ignore (Device.inject t.device ~source:(Device.External port) bits);
-  List.map (fun o -> (o.Device.o_port, o.Device.o_bits)) (Device.outputs t.device)
+  match on_wire (Device.inject t.device ~source:(Device.External port) bits) with
+  | Some o -> [ (o.Device.o_port, o.Device.o_bits) ]
+  | None -> []
 
 type case = {
   c_name : string;
@@ -62,30 +67,29 @@ type perf = {
 
 let load_test t ~port ?(packets = 2000) ~offered_gbps bits =
   check_port t port;
-  ignore (Device.outputs t.device);
   let offered = min offered_gbps (port_rate_gbps t) in
   let pkt_bits = float_of_int (Bitstring.byte_length bits * 8) in
   let interval_ns = pkt_bits /. offered in
   let base = Device.now_ns t.device in
-  for i = 0 to packets - 1 do
-    ignore
-      (Device.inject t.device ~source:(Device.External port)
-         ~at_ns:(base +. (float_of_int i *. interval_ns))
-         bits)
-  done;
-  let outs = Device.outputs t.device in
   let lat = Stats.Histogram.create () in
   let rate = Stats.Rate.create () in
-  List.iter
-    (fun o ->
-      (* the tester timestamps on the wire: TX queueing included *)
-      Stats.Histogram.add lat (o.Device.o_wire_time_ns -. o.Device.o_in_time_ns);
-      Stats.Rate.record rate ~now_ns:o.Device.o_wire_time_ns
-        ~bytes:(Bitstring.byte_length o.Device.o_bits))
-    outs;
+  for i = 0 to packets - 1 do
+    match
+      on_wire
+        (Device.inject t.device ~source:(Device.External port)
+           ~at_ns:(base +. (float_of_int i *. interval_ns))
+           bits)
+    with
+    | Some o ->
+        (* the tester timestamps on the wire: TX queueing included *)
+        Stats.Histogram.add lat (o.Device.o_wire_time_ns -. o.Device.o_in_time_ns);
+        Stats.Rate.record rate ~now_ns:o.Device.o_wire_time_ns
+          ~bytes:(Bitstring.byte_length o.Device.o_bits)
+    | None -> ()
+  done;
   {
     p_sent = packets;
-    p_received = List.length outs;
+    p_received = Stats.Histogram.count lat;
     p_offered_gbps = offered;
     p_achieved_gbps = Stats.Rate.gbps rate;
     p_achieved_mpps = Stats.Rate.packets_per_sec rate /. 1e6;

@@ -6,7 +6,10 @@
     latency, and rate-limit itself to the interface speed. It cannot:
     inject past the input interfaces, observe the check point, read stage
     counters or device status, or see packets addressed to broken or
-    non-physical ports. Nothing in this module touches those APIs. *)
+    non-physical ports. Of each inject's disposition it reads only the
+    on-wire half — the emission, when [o_on_wire] says it reached a
+    wire — and never a drop reason or an emission that reached no wire;
+    nothing in this module touches the other APIs. *)
 
 type t
 
@@ -18,8 +21,8 @@ val port_rate_gbps : t -> float
 
 val send_and_observe :
   t -> port:int -> Bitutil.Bitstring.t -> (int * Bitutil.Bitstring.t) list
-(** Transmit one packet into [port]; return every packet subsequently
-    observed on any external port (port, bits).
+(** Transmit one packet into [port]; return what it put on a wire, on
+    any external port, as (port, bits): one packet or none.
     @raise Invalid_argument for a non-physical port. *)
 
 (** A functional test case from the external point of view. *)

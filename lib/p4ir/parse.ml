@@ -8,6 +8,8 @@ type hooks = {
 
 let spec_hooks = { on_reject = `Drop; verify_checksum = true; max_steps = 64 }
 
+let lenient_hooks = { on_reject = `Continue; verify_checksum = false; max_steps = 64 }
+
 type outcome = { accepted : bool; error : int; states_visited : string list }
 
 let extract_header env reader (hd : Ast.header_decl) =

@@ -18,6 +18,11 @@ type hooks = {
 
 val spec_hooks : hooks
 
+val lenient_hooks : hooks
+(** NetDebug's own parsing — the generator's render, the checker's
+    re-parse of emissions, observation in tests and use cases: it never
+    drops and never verifies a checksum. *)
+
 type outcome = {
   accepted : bool;  (** false means the packet is dropped at the parser *)
   error : int;  (** a {!Stdmeta} error code; [error_none] when clean *)

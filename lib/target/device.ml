@@ -15,9 +15,9 @@ type source = External of int | Generator
 type output = {
   o_port : int;
   o_bits : Bitstring.t;
-  o_source : source;
   o_in_time_ns : float;
   o_out_time_ns : float;
+  o_on_wire : bool;
   o_wire_time_ns : float;
 }
 
@@ -31,6 +31,7 @@ type status = {
   st_time_ns : float;
   st_packets_in : int64;
   st_packets_out : int64;
+  st_packets_wire : int64;
   st_queue_drops : int64;
   st_pipeline_drops : int64;
   st_queue_depth : int;
@@ -111,7 +112,6 @@ type t = {
   tx_q : Ringq.t array;
   tx_free : float array;
   broken : bool array;
-  mutable outs_rev : output list;
   mutable check_tap : output -> unit;
   mutable next_id : int;
   c_rx_external : Counter.t;
@@ -206,8 +206,8 @@ let create ?update_clock (pipeline : Pipeline.t) =
   let config = pipeline.Pipeline.config in
   let program = pipeline.Pipeline.program in
   let cycle_ns = Config.cycle_ns config in
-  let counters = Counter.Set.create () in
-  let metrics = Registry.create ~counters () in
+  let metrics = Registry.create () in
+  let counters = Registry.counter_set metrics in
   let spanstore = Span.create ~sampling:default_span_sampling () in
   let runtime = Runtime.create () in
   let regs = Regstate.create program in
@@ -393,7 +393,6 @@ let create ?update_clock (pipeline : Pipeline.t) =
       tx_q;
       tx_free = Array.make config.Config.ports 0.0;
       broken = Array.make config.Config.ports false;
-      outs_rev = [];
       check_tap = ignore;
       next_id = 0;
       c_rx_external =
@@ -485,47 +484,60 @@ let faults t =
   |> List.filter_map (fun ss ->
          match ss.ss_fault with Some f -> Some (ss.ss_name, f) | None -> None)
 
-(* Emission: the check tap observes everything that left the pipeline; only
-   packets bound for a healthy physical port with TX buffer room go on to
-   the wire (and into [outputs]). *)
-let emit t ~source ~arrival ~out_time ~port bits =
+(* TX buffer room on a physical port at [out_time]; a full buffer
+   tail-drops. *)
+let tx_room t ~out_time port =
+  let q = t.tx_q.(port) in
+  ignore (Ringq.drop_leq q out_time);
+  if Ringq.is_full q then begin
+    Counter.incr t.c_txq_drop.(port);
+    if t.cur_sampled then
+      span_child t ~kind:Span.Tx ~name:t.n_tx.(port) ~t0:out_time ~t1:out_time ~bytes:0
+        ~flags:Span.flag_drop ~note:t.note_tail_drop;
+    false
+  end
+  else true
+
+(* Serialize onto [port]'s wire; the time its last bit leaves. *)
+let transmit t ~out_time port bits =
+  let bytes = (Bitstring.length bits + 7) / 8 in
+  let ser = float_of_int bytes /. (Config.port_rate_gbps t.config /. 8.0) in
+  let start = if t.tx_free.(port) > out_time then t.tx_free.(port) else out_time in
+  let wire = start +. ser in
+  t.tx_free.(port) <- wire;
+  ignore (Ringq.push t.tx_q.(port) wire);
+  Histogram.add t.h_tx_ser.(port) ser;
+  t.cur_end <- wire;
+  if t.cur_sampled then
+    span_child t ~kind:Span.Tx ~name:t.n_tx.(port) ~t0:out_time ~t1:wire ~bytes ~flags:0
+      ~note:Span.no_note;
+  wire
+
+(* Emission: the TX side first — only a packet bound for a healthy
+   physical port with TX buffer room reaches a wire — then the one output
+   that says whether and when it did, which the check tap observes
+   whatever its port (non-physical and broken ones included). *)
+let emit t ~arrival ~out_time ~port bits =
   Counter.incr t.c_emitted;
   Histogram.add t.h_pipe_latency (out_time -. arrival);
+  let on_wire =
+    port >= 0
+    && port < t.config.Config.ports
+    && (not t.broken.(port))
+    && tx_room t ~out_time port
+  in
+  let wire = if on_wire then transmit t ~out_time port bits else out_time in
   let out =
     {
       o_port = port;
       o_bits = bits;
-      o_source = source;
       o_in_time_ns = arrival;
       o_out_time_ns = out_time;
-      o_wire_time_ns = out_time;
+      o_on_wire = on_wire;
+      o_wire_time_ns = wire;
     }
   in
   t.check_tap out;
-  if port >= 0 && port < t.config.Config.ports && not t.broken.(port) then begin
-    let q = t.tx_q.(port) in
-    ignore (Ringq.drop_leq q out_time);
-    if Ringq.is_full q then begin
-      Counter.incr t.c_txq_drop.(port);
-      if t.cur_sampled then
-        span_child t ~kind:Span.Tx ~name:t.n_tx.(port) ~t0:out_time ~t1:out_time ~bytes:0
-          ~flags:Span.flag_drop ~note:t.note_tail_drop
-    end
-    else begin
-      let bytes = (Bitstring.length bits + 7) / 8 in
-      let ser = float_of_int bytes /. (Config.port_rate_gbps t.config /. 8.0) in
-      let start = if t.tx_free.(port) > out_time then t.tx_free.(port) else out_time in
-      let wire = start +. ser in
-      t.tx_free.(port) <- wire;
-      ignore (Ringq.push q wire);
-      Histogram.add t.h_tx_ser.(port) ser;
-      t.cur_end <- wire;
-      if t.cur_sampled then
-        span_child t ~kind:Span.Tx ~name:t.n_tx.(port) ~t0:out_time ~t1:wire ~bytes ~flags:0
-          ~note:Span.no_note;
-      t.outs_rev <- { out with o_wire_time_ns = wire } :: t.outs_rev
-    end
-  end;
   Emitted out
 
 let drop_pipeline t reason =
@@ -560,7 +572,7 @@ let run_pipeline t ~source ~arrival ~entry_done bits =
           pass_stage t t.ss_deparser ~flags:0 ~note:t.note_emit;
           let out_bits = Compilecore.deparse si in
           let port = Compilecore.egress_port si in
-          emit t ~source ~arrival ~out_time:(entry_done +. t.latency_ns) ~port out_bits
+          emit t ~arrival ~out_time:(entry_done +. t.latency_ns) ~port out_bits
         end
       end
     end
@@ -650,10 +662,7 @@ let inject_batch t ~source ?(reset_registers = false) pkts =
   quiesce t;
   out
 
-let outputs t =
-  let outs = List.rev t.outs_rev in
-  t.outs_rev <- [];
-  outs
+let outputs _ = []
 
 let status t =
   ignore (Ringq.drop_leq t.rx_q t.now);
@@ -666,6 +675,8 @@ let status t =
     st_time_ns = t.now;
     st_packets_in = Int64.add (Counter.get t.c_rx_external) (Counter.get t.c_rx_generator);
     st_packets_out = Counter.get t.c_emitted;
+    st_packets_wire =
+      Int64.of_int (Array.fold_left (fun acc h -> acc + Histogram.count h) 0 t.h_tx_ser);
     st_queue_drops = Int64.add (Counter.get t.c_drop_queue) tx_drops;
     st_pipeline_drops = Counter.get t.c_drop_pipeline;
     st_queue_depth = depth;

@@ -17,8 +17,10 @@
     after the input interfaces ({!source} records whether a packet came
     from a physical port or the internal generator), the check tap
     observes every emission before the output interfaces (including
-    egress to non-physical or broken ports), and {!outputs} returns only
-    what actually reached a wire. *)
+    egress to non-physical or broken ports), and an emission's
+    [o_on_wire] says whether it went on to reach a wire. The disposition
+    {!inject} returns is the only per-packet result: the device keeps no
+    record of past emissions. *)
 
 type source = External of int | Generator
 
@@ -29,14 +31,17 @@ val generator_port : int
 type output = {
   o_port : int;  (** egress_spec as the pipeline computed it *)
   o_bits : Bitutil.Bitstring.t;
-  o_source : source;
   o_in_time_ns : float;  (** arrival at the device *)
   o_out_time_ns : float;  (** pipeline exit — when the check tap sees it *)
-  o_wire_time_ns : float;  (** last bit on the wire, after TX serialization *)
+  o_on_wire : bool;
+      (** it reached a wire: a healthy physical port with TX buffer room *)
+  o_wire_time_ns : float;
+      (** last bit on the wire, after TX serialization; [o_out_time_ns]
+          when it reached none *)
 }
 
 type disposition =
-  | Emitted of output  (** reached the check point (not necessarily a wire) *)
+  | Emitted of output  (** reached the check point; [o_on_wire] says if a wire too *)
   | Dropped_pipeline of string  (** program semantics: "parser:<err>", "ingress", "egress" *)
   | Dropped_queue  (** tail-dropped at the full input buffer *)
   | Lost_in_stage of string  (** swallowed by an injected fault *)
@@ -45,6 +50,9 @@ type status = {
   st_time_ns : float;
   st_packets_in : int64;
   st_packets_out : int64;  (** emissions seen at the check point *)
+  st_packets_wire : int64;
+      (** emissions that reached a wire: the sum of the per-port
+          [tx/port<p>/serialization_ns] histogram counts *)
   st_queue_drops : int64;  (** input-buffer and TX tail drops *)
   st_pipeline_drops : int64;
   st_queue_depth : int;  (** packets currently buffered, all queues *)
@@ -130,11 +138,13 @@ val quiesce : t -> unit
     ring retains every completed entry and eventually tail-drops. *)
 
 val outputs : t -> output list
-(** Packets that reached a wire since the last call, oldest first, with
-    [o_wire_time_ns] stamped. Drains. *)
+(** Always [[]]: the device keeps no emissions. A stub kept only because
+    [perfbench/fuzz_wl.ml] still calls it; drop that call, then this. *)
 
 val set_check_tap : t -> (output -> unit) -> unit
-(** Observer between pipeline exit and the output interfaces. *)
+(** Observer between pipeline exit and the output interfaces. It sees
+    each emission once, after the TX side has stamped [o_on_wire] and
+    [o_wire_time_ns]. *)
 
 (** Coverage taps: behavioural-event observers for coverage-guided testing
     ({!Fuzz}). [tp_parse] fires once per packet with the parser outcome

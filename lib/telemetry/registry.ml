@@ -1,7 +1,8 @@
-(* Single registration point for named device metrics. Counters live in a
-   Stats.Counter.Set (shared with the device's management-channel view, so
-   dynamically created program counters surface here too); gauges are
-   read-on-snapshot callbacks; histograms are Stats.Histogram. *)
+(* Single registration point for named device metrics. Counters live in
+   the registry's own Stats.Counter.Set (the device reads its
+   management-channel view from it, so dynamically created program
+   counters surface here too); gauges are read-on-snapshot callbacks;
+   histograms are Stats.Histogram. *)
 
 type value =
   | Counter of int64
@@ -15,9 +16,9 @@ type t = {
   histograms : (string, Stats.Histogram.t) Hashtbl.t;
 }
 
-let create ?counters () =
+let create () =
   {
-    counters = (match counters with Some s -> s | None -> Stats.Counter.Set.create ());
+    counters = Stats.Counter.Set.create ();
     helps = Hashtbl.create 32;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
@@ -55,11 +56,11 @@ let histogram t ?(help = "") name =
    [prefix] namespaces every folded metric: a fleet coordinator merging N
    per-device registries passes a distinct prefix per device so equal
    names (stage/<n>/fault_hits, ...) land as distinct fleet metrics
-   instead of summing. With a prefix the shared-counter-set shortcut no
-   longer applies — the prefixed names are new even in a shared set. *)
+   instead of summing. Merging a registry into itself without a prefix
+   leaves its counters as they are: the values are already there. *)
 let merge ?(prefix = "") ~into src =
   let pre name = if prefix = "" then name else prefix ^ name in
-  if prefix <> "" || into.counters != src.counters then
+  if prefix <> "" || into != src then
     List.iter
       (fun (name, v) -> Stats.Counter.Set.add into.counters (pre name) v)
       (Stats.Counter.Set.to_alist src.counters);

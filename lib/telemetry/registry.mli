@@ -1,9 +1,9 @@
 (** Metrics registry: the single registration point for a device's named
     counters, gauges and histograms.
 
-    Counters are backed by a {!Stats.Counter.Set} (pass the device's set to
-    {!create} so counters created elsewhere — e.g. per-program counters made
-    on demand — appear in the same namespace). Gauges are callbacks sampled
+    Counters are backed by the registry's own {!Stats.Counter.Set}
+    ({!counter_set}; counters created in it elsewhere — e.g. per-program
+    counters made on demand — appear in the same namespace). Gauges are callbacks sampled
     at {!snapshot} time (queue depths, static pipeline facts). Histograms
     are {!Stats.Histogram} values updated by the owner. Registration
     attaches optional help text that exporters surface. *)
@@ -15,8 +15,8 @@ type value =
 
 type t
 
-val create : ?counters:Stats.Counter.Set.t -> unit -> t
-(** Wrap an existing counter set, or create a fresh one. *)
+val create : unit -> t
+(** An empty registry with a fresh counter set. *)
 
 val counter_set : t -> Stats.Counter.Set.t
 
@@ -34,8 +34,8 @@ val help : t -> string -> string
 
 val merge : ?prefix:string -> into:t -> t -> unit
 (** [merge ~into src] folds [src]'s metrics into [into]: counters are
-    added by name (skipped entirely when both registries share one
-    counter set — the values are already there), histogram datasets are
+    added by name (skipped when [into] is [src] — the values are
+    already there), histogram datasets are
     absorbed in place into [into]'s handles so owners holding them keep
     seeing updates, and help text for a name already registered in
     [into] is kept as-is — merging two shards that registered the same
@@ -51,8 +51,7 @@ val merge : ?prefix:string -> into:t -> t -> unit
     fleet registry without collisions — [stage/<n>/fault_hits] from two
     devices merged under prefixes ["dev/a/"] and ["dev/b/"] stay
     distinguishable instead of summing. With a non-empty prefix the
-    shared-counter-set skip does not apply (the prefixed names are new
-    names even in a shared set). *)
+    self-merge skip does not apply (the prefixed names are new names). *)
 
 val snapshot : t -> (string * string * value) list
 (** All metrics — every counter in the set, each gauge read now, each

@@ -685,50 +685,56 @@ let passthrough =
 
 let staged_render program stream =
   let d = Device.create (Lazy.force passthrough) in
+  let emitted = ref [] in
+  Device.set_check_tap d (fun o -> emitted := o.Device.o_bits :: !emitted);
   let g = Netdebug.Generator.create ~program d in
   Netdebug.Generator.configure g [ stream ];
   Netdebug.Generator.start g;
-  List.map (fun o -> o.Device.o_bits) (Device.outputs d)
+  List.rev !emitted
 
-(* The tree render, kept test-local: the template parsed under the
-   generator's lenient hooks into an [Env], the mutations applied through
-   [Env] to valid headers only, then [Deparse.run] — refreshing the IPv4
-   checksum only when mutations dirtied a header and none targets it. *)
+(* The tree render, kept test-local: an unmutated template as given;
+   otherwise the template parsed under the generator's lenient hooks into
+   an [Env], the mutations applied through [Env] to valid headers only,
+   then [Deparse.run] — refreshing the IPv4 checksum unless a mutation
+   targets it. *)
 let tree_render program (stream : Wire.stream) =
-  let muts = stream.Wire.s_mutations in
-  let prng =
-    Prng.create
-      (List.fold_left
-         (fun acc m -> match m with Wire.Random_field (_, _, s) -> acc + s | _ -> acc)
-         0x9E37 muts)
-  in
-  let targets_checksum =
-    List.exists
-      (function
-        | Wire.Set_field (h, f, _) | Wire.Sweep_field (h, f, _, _) | Wire.Random_field (h, f, _)
-          ->
-            h = "ipv4" && f = "checksum")
-      muts
-  in
-  let update = program.Ast.p_update_ipv4_checksum && muts <> [] && not targets_checksum in
-  let hooks = { Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 } in
-  List.init stream.Wire.s_count (fun i ->
-      let env = Env.create program in
-      ignore
-        (Parse.run ~hooks (Exec.make_ctx ~env ~runtime:(Runtime.create ()) ()) stream.Wire.s_template);
-      let set h f v =
-        if Env.is_valid env h then
-          let width = Value.width (Env.get_field env h f) in
-          Env.set_field env h f (Value.make ~width (v width))
+  match stream.Wire.s_mutations with
+  | [] -> List.init stream.Wire.s_count (fun _ -> stream.Wire.s_template)
+  | muts ->
+      let prng =
+        Prng.create
+          (List.fold_left
+             (fun acc m -> match m with Wire.Random_field (_, _, s) -> acc + s | _ -> acc)
+             0x9E37 muts)
       in
-      List.iter
-        (function
-          | Wire.Set_field (h, f, v) -> set h f (fun _ -> v)
-          | Wire.Sweep_field (h, f, start, step) ->
-              set h f (fun _ -> Int64.add start (Int64.mul step (Int64.of_int i)))
-          | Wire.Random_field (h, f, _) -> set h f (fun width -> Prng.bits prng ~width))
-        muts;
-      Deparse.run ~update_ipv4_checksum:update env)
+      let targets_checksum =
+        List.exists
+          (function
+            | Wire.Set_field (h, f, _) | Wire.Sweep_field (h, f, _, _) | Wire.Random_field (h, f, _)
+              ->
+                h = "ipv4" && f = "checksum")
+          muts
+      in
+      let update = program.Ast.p_update_ipv4_checksum && not targets_checksum in
+      List.init stream.Wire.s_count (fun i ->
+          let env = Env.create program in
+          ignore
+            (Parse.run ~hooks:Parse.lenient_hooks
+               (Exec.make_ctx ~env ~runtime:(Runtime.create ()) ())
+               stream.Wire.s_template);
+          let set h f v =
+            if Env.is_valid env h then
+              let width = Value.width (Env.get_field env h f) in
+              Env.set_field env h f (Value.make ~width (v width))
+          in
+          List.iter
+            (function
+              | Wire.Set_field (h, f, v) -> set h f (fun _ -> v)
+              | Wire.Sweep_field (h, f, start, step) ->
+                  set h f (fun _ -> Int64.add start (Int64.mul step (Int64.of_int i)))
+              | Wire.Random_field (h, f, _) -> set h f (fun width -> Prng.bits prng ~width))
+            muts;
+          Deparse.run ~update_ipv4_checksum:update env)
 
 let render_outcome render =
   match render () with
@@ -746,26 +752,38 @@ let stream_mutations =
     [ Wire.Set_field ("nosuch", "f", 1L) ];
   ]
 
-(* Every bundle, every probe (truncated and garbage ones included), every
-   stream shape: the staged render is the tree render, raised messages
-   included. *)
+(* basic_router with its deparser reversed: a legal program whose
+   deparser does not replay the parse, so a parse-then-deparse of a
+   routed packet is not the identity. *)
+let reversed_router =
+  let p = Programs.basic_router.Programs.program in
+  { p with Ast.p_name = "basic_router_reversed"; p_deparser = List.rev p.Ast.p_deparser }
+
+(* Every bundle and the reversed-deparser router, every probe (truncated
+   and garbage ones included), every stream shape: the staged render is
+   the tree render, raised messages included, and an unmutated stream
+   puts its template on the wire byte for byte. *)
 let test_generator_render_parity () =
   let outcome = Alcotest.(result (list string) string) in
   List.iter
-    (fun (b : Programs.bundle) ->
-      let program = b.Programs.program in
+    (fun program ->
       List.iteri
         (fun pi template ->
           List.iteri
             (fun si mutations ->
               let stream = Netdebug.Controller.stream ~count:3 ~mutations template in
-              Alcotest.check outcome
-                (Printf.sprintf "%s probe %d stream %d" program.Ast.p_name pi si)
+              let name = Printf.sprintf "%s probe %d stream %d" program.Ast.p_name pi si in
+              let staged = render_outcome (fun () -> staged_render program stream) in
+              Alcotest.check outcome name
                 (render_outcome (fun () -> tree_render program stream))
-                (render_outcome (fun () -> staged_render program stream)))
+                staged;
+              if mutations = [] then
+                Alcotest.check outcome (name ^ " is its template")
+                  (Ok (List.init 3 (fun _ -> Bitstring.to_hex template)))
+                  staged)
             stream_mutations)
         probes)
-    Programs.all;
+    (reversed_router :: List.map (fun (b : Programs.bundle) -> b.Programs.program) Programs.all);
   let router = Programs.basic_router.Programs.program in
   let render template mutations =
     render_outcome (fun () ->

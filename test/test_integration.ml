@@ -154,6 +154,33 @@ let test_library_functional_regression () =
         true (Usecases.Functional.passed r))
     Programs.all
 
+(* ---------------- the device receives what the spec judged ----------------
+
+   basic_router with its deparser reversed is a legal program whose
+   deparser does not replay the parse: re-rendering a test packet through
+   it changes the packet. Every validator must inject exactly the packet
+   the specification judged, so on a faithful toolchain each one is
+   clean. *)
+
+let reversed_router =
+  let b = Programs.basic_router in
+  let p = b.Programs.program in
+  { b with Programs.program = { p with Ast.p_deparser = List.rev p.Ast.p_deparser } }
+
+let test_reversed_deparser_is_clean () =
+  let deploy () = Harness.deploy ~quirks:Quirks.none reversed_router in
+  let r = Usecases.Functional.run (deploy ()) in
+  Alcotest.(check int) "functional mismatches" 0 (List.length r.Usecases.Functional.fr_mismatches);
+  let pr = Usecases.Functional.check_paths ~seed:1 (deploy ()) in
+  Alcotest.(check int)
+    "path divergences" 0
+    (List.length pr.Usecases.Functional.pr_divergences);
+  let c = Fuzz.Campaign.run ~quirks:Quirks.none ~budget:2000 ~seed:1 reversed_router in
+  Alcotest.(check int) "fuzz divergences" 0 (List.length c.Fuzz.Campaign.rp_divergences);
+  match fst (Localize.locate (deploy ()) ~probe:(P.serialize (P.udp_ipv4 ~dst:0x0A000005L ()))) with
+  | Localize.Healthy -> ()
+  | v -> Alcotest.failf "localization said: %s" (Localize.verdict_to_string v)
+
 let () =
   Alcotest.run "integration"
     [
@@ -166,5 +193,6 @@ let () =
             test_library_verification_regression;
           Alcotest.test_case "library functional regression" `Slow
             test_library_functional_regression;
+          Alcotest.test_case "reversed deparser is clean" `Quick test_reversed_deparser_is_clean;
         ] );
     ]

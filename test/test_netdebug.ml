@@ -534,8 +534,7 @@ let check_vector (oracle : Programs.bundle) rt (h : Harness.t) i packet =
   let fields_of bits =
     let env = P4ir.Env.create program in
     let ctx = P4ir.Exec.make_ctx ~env ~runtime:(Runtime.create ()) () in
-    let hooks = { P4ir.Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 } in
-    ignore (P4ir.Parse.run ~hooks ctx bits);
+    ignore (P4ir.Parse.run ~hooks:P4ir.Parse.lenient_hooks ctx bits);
     P4ir.Env.snapshot_fields env
   in
   let rules =

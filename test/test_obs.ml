@@ -270,9 +270,8 @@ let test_soak_artifacts_roundtrip () =
     (contains r.Soak.so_prometheus "netdebug_soak_verdict_drift 0\n")
 
 let test_soak_bounded () =
-  (* the soak drains the device's wire emissions as they happen, and its
-     background traffic is only counted by the checker: rule evaluations
-     come from the validation vectors alone, and none fails *)
+  (* the soak's background traffic is only counted by the checker: rule
+     evaluations come from the validation vectors alone, and none fails *)
   let h = Harness.deploy Programs.basic_router in
   Alcotest.check_raises "a window without validation is refused"
     (Invalid_argument "Soak.run: validations per window must be positive") (fun () ->
@@ -280,7 +279,6 @@ let test_soak_bounded () =
       ignore (Soak.run ~cfg h));
   let r = Soak.run ~cfg:{ Soak.default_cfg with Soak.sk_budget = 2_000 } h in
   check_bool "healthy" true r.Soak.so_healthy;
-  check_int "no emission retained" 0 (List.length (Device.outputs h.Harness.device));
   let metrics = Device.metrics h.Harness.device in
   let get name = Counter.get (Registry.counter metrics name) in
   Alcotest.(check int64) "no rule evaluation failed" 0L (get "checker/fail");

@@ -73,13 +73,23 @@ let test_device_drop_dispositions () =
       Alcotest.(check string) "parser reject" "parser:Reject" reason
   | _ -> Alcotest.fail "arp should die in parser (no quirks)"
 
+(* The external view of one inject: its emission, if it reached a wire. *)
+let on_wire (_, disposition) =
+  match disposition with Device.Emitted o when o.Device.o_on_wire -> Some o | _ -> None
+
+let wire_count d = (Device.status d).Device.st_packets_wire
+
 let test_device_external_outputs () =
   let d = build Programs.basic_router in
-  ignore (Device.inject d ~source:(Device.External 0) (udp 0x0A000001L));
-  ignore (Device.inject d ~source:(Device.External 1) (udp 0x0A010001L));
-  let outs = Device.outputs d in
+  let outs =
+    List.filter_map on_wire
+      [
+        Device.inject d ~source:(Device.External 0) (udp 0x0A000001L);
+        Device.inject d ~source:(Device.External 1) (udp 0x0A010001L);
+      ]
+  in
   check_int "two packets out" 2 (List.length outs);
-  check_int "drained" 0 (List.length (Device.outputs d))
+  check_i64 "two on the wire" 2L (wire_count d)
 
 let test_inject_batch_matches_inject () =
   (* the batched hot path is packet-at-a-time injection minus the
@@ -268,22 +278,28 @@ let test_check_tap_sees_nonphysical_port () =
   let d = build Programs.parser_guard in
   let tapped = ref [] in
   Device.set_check_tap d (fun out -> tapped := out :: !tapped);
-  ignore (Device.inject d ~source:(Device.External 0) (P.serialize (P.arp_request ())));
+  let r = Device.inject d ~source:(Device.External 0) (P.serialize (P.arp_request ())) in
   check_int "tap saw it" 1 (List.length !tapped);
   check_int "tap port is 63" 63 (List.hd !tapped).Device.o_port;
-  check_int "externally invisible" 0 (List.length (Device.outputs d))
+  check_bool "tap sees it off the wire" false (List.hd !tapped).Device.o_on_wire;
+  check_bool "externally invisible" true (on_wire r = None);
+  check_i64 "no wire emission" 0L (wire_count d)
 
 let test_broken_port_visibility () =
   let d = build Programs.basic_router in
   let tapped = ref 0 in
   Device.set_check_tap d (fun _ -> incr tapped);
   Device.set_port_broken d 1 true;
-  ignore (Device.inject d ~source:(Device.External 0) (udp 0x0A000001L));
+  let r = Device.inject d ~source:(Device.External 0) (udp 0x0A000001L) in
   check_int "check point still sees it" 1 !tapped;
-  check_int "external view empty" 0 (List.length (Device.outputs d));
+  (match r with
+  | _, Device.Emitted o -> check_bool "emitted, but not on a wire" false o.Device.o_on_wire
+  | _ -> Alcotest.fail "should be emitted");
+  check_i64 "external view empty" 0L (wire_count d);
   Device.set_port_broken d 1 false;
-  ignore (Device.inject d ~source:(Device.External 0) (udp 0x0A000001L));
-  check_int "healthy again" 1 (List.length (Device.outputs d))
+  let r = Device.inject d ~source:(Device.External 0) (udp 0x0A000001L) in
+  check_bool "healthy again" true (on_wire r <> None);
+  check_i64 "one on the wire" 1L (wire_count d)
 
 let test_tx_queue_overflow_after_check_point () =
   (* blast the full datapath rate at a single 12.8G output port: every
@@ -295,12 +311,15 @@ let test_tx_queue_overflow_after_check_point () =
   let bits = P.serialize (P.udp_ipv4 ~dst:0x0A000001L ~payload_bytes:1400 ()) in
   (* all at t=0: pipeline rate is 4x the port rate *)
   let n = 400 in
-  for _ = 1 to n do
-    ignore (Device.inject d ~source:(Device.External 0) ~at_ns:0.0 bits)
-  done;
-  let external_outs = Device.outputs d in
+  let external_outs =
+    List.filter_map on_wire
+      (List.init n (fun _ -> Device.inject d ~source:(Device.External 0) ~at_ns:0.0 bits))
+  in
   check_int "check point saw everything" n !tapped;
   check_bool "wire saw fewer" true (List.length external_outs < n);
+  check_i64 "wire count is the on-wire dispositions"
+    (Int64.of_int (List.length external_outs))
+    (wire_count d);
   check_bool "txq drops counted" true
     (Counter.Set.get (Device.counters d) "drop/txq1" > 0L);
   (* wire timestamps are spaced at the port serialization time *)
@@ -320,18 +339,15 @@ let test_tx_queue_overflow_after_check_point () =
 let test_wire_time_includes_tx_serialization () =
   let d = build Programs.basic_router in
   let bits = udp 0x0A000001L in
-  match snd (Device.inject d ~source:(Device.External 0) bits) with
-  | Device.Emitted _ -> (
-      match Device.outputs d with
-      | [ out ] ->
-          let bytes = (Bitstring.length bits + 7) / 8 in
-          let ser = float_of_int bytes /. (Config.port_rate_gbps (Device.config d) /. 8.0) in
-          Alcotest.(check (float 0.001))
-            "wire = pipeline exit + tx serialization"
-            (out.Device.o_out_time_ns +. ser)
-            out.Device.o_wire_time_ns
-      | _ -> Alcotest.fail "one output expected")
-  | _ -> Alcotest.fail "not emitted"
+  match on_wire (Device.inject d ~source:(Device.External 0) bits) with
+  | Some out ->
+      let bytes = (Bitstring.length bits + 7) / 8 in
+      let ser = float_of_int bytes /. (Config.port_rate_gbps (Device.config d) /. 8.0) in
+      Alcotest.(check (float 0.001))
+        "wire = pipeline exit + tx serialization"
+        (out.Device.o_out_time_ns +. ser)
+        out.Device.o_wire_time_ns
+  | None -> Alcotest.fail "not emitted on a wire"
 
 let test_generator_source_bypasses_interfaces () =
   let d = build Programs.basic_router in

@@ -191,8 +191,8 @@ let test_chrome_escapes () =
 (* ---------------- registry ---------------- *)
 
 let test_registry_wraps_counter_set () =
-  let set = Counter.Set.create () in
-  let r = Registry.create ~counters:set () in
+  let r = Registry.create () in
+  let set = Registry.counter_set r in
   let c = Registry.counter r ~help:"h" "a" in
   Counter.incr c;
   (* same underlying counter as the set's *)
@@ -266,18 +266,12 @@ let test_registry_merge_shards () =
   check_int "single HELP line" 1 (occurrences "# HELP netdebug_lat_ns" exposition)
 
 let test_registry_merge_shared_counter_set () =
-  (* shards wrapping the SAME counter set (the device's own) must not
-     double-count on merge: the values are already in the set *)
-  let set = Counter.Set.create () in
-  let a = Registry.create ~counters:set () in
-  let b = Registry.create ~counters:set () in
-  Counter.incr (Registry.counter a "x");
-  Counter.incr (Registry.counter b "x");
-  Registry.merge ~into:a b;
-  Alcotest.(check int64) "no double count" 2L (Counter.Set.get set "x");
-  (* merging a registry into itself is likewise a no-op for counters *)
+  (* merging a registry into itself must not double-count: the values
+     are already in its set *)
+  let a = Registry.create () in
+  Counter.add (Registry.counter a "x") 2L;
   Registry.merge ~into:a a;
-  Alcotest.(check int64) "self merge is a no-op" 2L (Counter.Set.get set "x")
+  Alcotest.(check int64) "self merge is a no-op" 2L (Counter.Set.get (Registry.counter_set a) "x")
 
 (* ---------------- device span trees ---------------- *)
 
