@@ -81,14 +81,9 @@ let wire_count d = (Device.status d).Device.st_packets_wire
 
 let test_device_external_outputs () =
   let d = build Programs.basic_router in
-  let outs =
-    List.filter_map on_wire
-      [
-        Device.inject d ~source:(Device.External 0) (udp 0x0A000001L);
-        Device.inject d ~source:(Device.External 1) (udp 0x0A010001L);
-      ]
-  in
-  check_int "two packets out" 2 (List.length outs);
+  let a = Device.inject d ~source:(Device.External 0) (udp 0x0A000001L) in
+  let b = Device.inject d ~source:(Device.External 1) (udp 0x0A010001L) in
+  check_int "two packets out" 2 (List.length (List.filter_map on_wire [ a; b ]));
   check_i64 "two on the wire" 2L (wire_count d)
 
 let test_inject_batch_matches_inject () =
